@@ -52,12 +52,12 @@ bench:
 # overheads, the incremental-matching speedup and flatness factors, and a
 # metrics snapshot.
 bench-json:
-	$(GO) run ./cmd/benchharness -json BENCH_9.json
+	$(GO) run ./cmd/benchharness -json BENCH_10.json
 
 # Bench-regression gate: a fresh suite run vs the committed baseline,
 # failing on a >25% regression in any headline ratio metric.
 bench-check:
-	$(GO) run ./cmd/benchharness -check BENCH_9.json -check-out bench_fresh.json
+	$(GO) run ./cmd/benchharness -check BENCH_10.json -check-out bench_fresh.json
 
 # Regenerates every experiment in EXPERIMENTS.md.
 harness:

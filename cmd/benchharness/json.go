@@ -110,12 +110,6 @@ type benchReport struct {
 	// (incr-match-100k-incr / incr-match-10k-incr): a change set touching
 	// k subscriptions costs O(k), not O(total), so this stays near 1.
 	IncrNotifyFlatness10x float64 `json:"incr_notify_flatness_10x"`
-	// InternEvalSpeedup10k is the interned+streaming evaluator's headline:
-	// a mixed exact-label traversal plus early-witness exists workload over
-	// 10k objects, string-keyed and materialized over symbol-keyed and
-	// streamed (intern-eval-10k-string / intern-eval-10k-intern). The
-	// acceptance bar is >= 1.5.
-	InternEvalSpeedup10k float64 `json:"intern_eval_speedup_10k"`
 	// ExistsEarlyExitRatio is the evidence that exists does work
 	// proportional to the witness position: the cost of an exists whose
 	// single witness is the last of 10k candidates over one whose witness
@@ -411,7 +405,7 @@ func runJSON(path string) error {
 	if err := runIncrJSON(&report, bench); err != nil {
 		return err
 	}
-	if err := runInternJSON(&report, bench); err != nil {
+	if err := runExistsJSON(&report, bench); err != nil {
 		return err
 	}
 

@@ -46,7 +46,6 @@ import (
 	"repro/internal/oem"
 	"repro/internal/plan"
 	"repro/internal/segment"
-	"repro/internal/symbol"
 	"repro/internal/timestamp"
 )
 
@@ -61,7 +60,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "evaluation workers (0 = GOMAXPROCS)")
 	noindex := flag.Bool("noindex", false, "disable secondary indexes and snapshot caching (unindexed baseline)")
 	noplanner := flag.Bool("noplanner", false, "disable the cost-based query planner (written-order baseline)")
-	nointern := flag.Bool("nointern", false, "disable symbol interning and streaming evaluation (string+materialized baseline)")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -70,10 +68,6 @@ func main() {
 	}
 	if *noplanner {
 		plan.SetEnabled(false)
-	}
-	if *nointern {
-		symbol.SetEnabled(false)
-		lorel.SetStreaming(false)
 	}
 
 	if *version {

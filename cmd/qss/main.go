@@ -62,14 +62,12 @@ import (
 	"repro/internal/incr"
 	"repro/internal/index"
 	"repro/internal/library"
-	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/plan"
 	"repro/internal/qss"
 	"repro/internal/repl"
 	"repro/internal/segment"
-	"repro/internal/symbol"
 	"repro/internal/wal"
 	"repro/internal/wrapper"
 )
@@ -137,7 +135,6 @@ func main() {
 	noindex := flag.Bool("noindex", false, "disable secondary indexes and poll-time snapshot caching")
 	noplanner := flag.Bool("noplanner", false, "disable the cost-based query planner (written-order baseline)")
 	noincremental := flag.Bool("noincremental", false, "disable delta-driven incremental subscription matching (evaluate every filter on every poll)")
-	nointern := flag.Bool("nointern", false, "disable symbol interning and streaming evaluation (string+materialized baseline)")
 	flag.StringVar(&cfg.walDir, "waldir", "", "directory for per-subscription write-ahead logs (empty: no persistence)")
 	flag.StringVar(&cfg.walSync, "walsync", "interval", "WAL durability: always | interval | never")
 	flag.StringVar(&cfg.segDir, "segments", "", "directory for per-subscription segmented history stores (mutually exclusive with -waldir; see docs/segments.md)")
@@ -192,10 +189,6 @@ func main() {
 	}
 	if *noincremental {
 		incr.SetEnabled(false)
-	}
-	if *nointern {
-		symbol.SetEnabled(false)
-		lorel.SetStreaming(false)
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "qss:", err)

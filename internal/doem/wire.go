@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/oem"
 	"repro/internal/oemio"
+	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
 )
@@ -58,8 +59,11 @@ func toWireArc(a oem.Arc) wireArc {
 	return wireArc{P: uint64(a.Parent), L: a.Label, C: uint64(a.Child)}
 }
 
+// fromWireArc canonicalizes the label like every other arc constructor:
+// a removed arc's label may appear nowhere in the current snapshot, so
+// decoding the snapshot alone does not intern it.
 func fromWireArc(a wireArc) oem.Arc {
-	return oem.Arc{Parent: oem.NodeID(a.P), Label: a.L, Child: oem.NodeID(a.C)}
+	return oem.Arc{Parent: oem.NodeID(a.P), Label: symbol.Canon(a.L), Child: oem.NodeID(a.C)}
 }
 
 // Marshal serializes the database to JSON, preserving node ids and

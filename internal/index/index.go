@@ -4,8 +4,8 @@
 // views keyed by (graph generation, T).
 //
 // Graph wraps a *doem.Database and implements lorel.Graph plus the
-// evaluator's optional fast-path interfaces (lorel.LabelSeeker,
-// lorel.AllLabelSeeker, lorel.TimeSeeker). Every accessor returns exactly
+// evaluator's optional fast-path interfaces (lorel.SymSeeker,
+// lorel.TimeSeeker). Every accessor returns exactly
 // what the unindexed database would — same arcs, same insertion order —
 // so indexed and unindexed evaluation are byte-identical; the property and
 // fuzz tests in this package enforce that.
@@ -57,11 +57,9 @@ type Graph struct {
 }
 
 var (
-	_ lorel.Graph          = (*Graph)(nil)
-	_ lorel.LabelSeeker    = (*Graph)(nil)
-	_ lorel.AllLabelSeeker = (*Graph)(nil)
-	_ lorel.SymSeeker      = (*Graph)(nil)
-	_ lorel.TimeSeeker     = (*Graph)(nil)
+	_ lorel.Graph      = (*Graph)(nil)
+	_ lorel.SymSeeker  = (*Graph)(nil)
+	_ lorel.TimeSeeker = (*Graph)(nil)
 )
 
 // NewGraph returns an indexed wrapper over d with default cache sizes.
@@ -97,15 +95,8 @@ func (g *Graph) Invalidate() {
 	g.mu.Unlock()
 }
 
-// labelKey addresses the string-keyed adjacency indexes.
-type labelKey struct {
-	n     oem.NodeID
-	label string
-}
-
-// symKey addresses the symbol-keyed adjacency indexes: a fixed-size
-// 12-byte key (node id + interned label id) whose hash never touches the
-// label bytes, unlike labelKey whose hash walks the string.
+// symKey addresses the adjacency indexes: a fixed-size 12-byte key (node
+// id + interned label id) whose hash never touches the label bytes.
 type symKey struct {
 	n   oem.NodeID
 	sym symbol.ID
@@ -118,24 +109,12 @@ type tables struct {
 	gen uint64
 	// nodes is AllNodeIDs() at build time: every node ever, ascending.
 	nodes []oem.NodeID
-	// bySym records whether this generation's adjacency maps are keyed by
-	// interned symbol id (interning enabled at build time) or by string.
-	// Exactly one keying is populated per build; the accessors dispatch on
-	// this flag, so a gate flip between build and query degrades to a
-	// rebuild-on-invalidate rather than serving from an empty map.
-	bySym bool
-	// outLabeled indexes the current snapshot's arcs by (parent, label),
-	// preserving insertion order within each label. When bySym, it holds
-	// only arcs whose label could not be interned (symbol-table overflow;
-	// in practice empty).
-	outLabeled map[labelKey][]oem.Arc
+	// outLabeled indexes the current snapshot's arcs by (parent, label
+	// symbol), preserving insertion order within each label.
+	outLabeled map[symKey][]oem.Arc
 	// outAllLabeled is the same over the full arc relation, removed arcs
 	// included.
-	outAllLabeled map[labelKey][]oem.Arc
-	// outLabeledSym / outAllLabeledSym are the symbol-keyed forms,
-	// populated only when bySym.
-	outLabeledSym    map[symKey][]oem.Arc
-	outAllLabeledSym map[symKey][]oem.Arc
+	outAllLabeled map[symKey][]oem.Arc
 	// updInfos caches UpdTriples per node (upd annotations ascending by
 	// timestamp, with derived new values) so <upd ...> matching and
 	// ValueAt binary searches reuse one materialization.
@@ -200,56 +179,30 @@ func (g *Graph) tables() *tables {
 func buildTables(d *doem.Database, gen uint64, viewCap, snapCap int) *tables {
 	t := &tables{
 		gen:           gen,
-		bySym:         symbol.Enabled(),
 		nodes:         d.AllNodeIDs(),
-		outLabeled:    make(map[labelKey][]oem.Arc),
-		outAllLabeled: make(map[labelKey][]oem.Arc),
+		outLabeled:    make(map[symKey][]oem.Arc),
+		outAllLabeled: make(map[symKey][]oem.Arc),
 		updInfos:      make(map[oem.NodeID][]doem.UpdInfo),
 		labelStats:    make(map[string]plan.LabelCard),
 		annotTotal:    d.NumAnnotations(),
 		views:         newLRU[timestamp.Time, *view](viewCap),
 		snaps:         newLRU[timestamp.Time, *oem.Database](snapCap),
 	}
-	if t.bySym {
-		t.outLabeledSym = make(map[symKey][]oem.Arc)
-		t.outAllLabeledSym = make(map[symKey][]oem.Arc)
-	}
-	// appendCur/appendAll route an arc to the active keying and report
-	// whether it opened a new (parent, label) bucket. Labels reaching here
-	// were canonicalized at AddArc, so the Intern call is a lock-free hit.
-	appendCur := func(n oem.NodeID, a oem.Arc) (first bool) {
-		if t.bySym {
-			if id, _ := symbol.Intern(a.Label); id != symbol.None {
-				k := symKey{n, id}
-				first = len(t.outLabeledSym[k]) == 0
-				t.outLabeledSym[k] = append(t.outLabeledSym[k], a)
-				return first
-			}
-		}
-		k := labelKey{n, a.Label}
-		first = len(t.outLabeled[k]) == 0
-		t.outLabeled[k] = append(t.outLabeled[k], a)
-		return first
-	}
-	appendAll := func(n oem.NodeID, a oem.Arc) (first bool) {
-		if t.bySym {
-			if id, _ := symbol.Intern(a.Label); id != symbol.None {
-				k := symKey{n, id}
-				first = len(t.outAllLabeledSym[k]) == 0
-				t.outAllLabeledSym[k] = append(t.outAllLabeledSym[k], a)
-				return first
-			}
-		}
-		k := labelKey{n, a.Label}
-		first = len(t.outAllLabeled[k]) == 0
-		t.outAllLabeled[k] = append(t.outAllLabeled[k], a)
+	// appendTo files an arc under (parent, label symbol) and reports
+	// whether it opened a new bucket. Labels reaching here were
+	// canonicalized at AddArc, so the Intern call is a lock-free hit.
+	appendTo := func(m map[symKey][]oem.Arc, n oem.NodeID, a oem.Arc) (first bool) {
+		id, _ := symbol.Intern(a.Label)
+		k := symKey{n, id}
+		first = len(m[k]) == 0
+		m[k] = append(m[k], a)
 		return first
 	}
 	root := d.Root()
 	for _, n := range t.nodes {
 		for _, a := range d.Out(n) {
 			lc := t.labelStats[a.Label]
-			if appendCur(n, a) {
+			if appendTo(t.outLabeled, n, a) {
 				lc.Parents++
 			}
 			lc.Arcs++
@@ -261,7 +214,7 @@ func buildTables(d *doem.Database, gen uint64, viewCap, snapCap int) *tables {
 		}
 		for _, a := range d.OutAll(n) {
 			lc := t.labelStats[a.Label]
-			if appendAll(n, a) {
+			if appendTo(t.outAllLabeled, n, a) {
 				lc.AllParents++
 			}
 			lc.AllArcs++
@@ -339,51 +292,15 @@ func arcLiveAt(d *doem.Database, a oem.Arc, t timestamp.Time) bool {
 
 // --- optional evaluator fast paths ----------------------------------------
 
-// OutLabeled implements lorel.LabelSeeker. On symbol-keyed tables the
-// string is resolved through the symbol table; a Lookup miss means the
-// label appears nowhere in any graph built under interning (every label
-// present was interned during the table build), so nil is the correct
-// answer, not a degraded one.
-func (g *Graph) OutLabeled(n oem.NodeID, label string) []oem.Arc {
-	t := g.tables()
-	if t.bySym {
-		if id, ok := symbol.Lookup(label); ok {
-			return t.outLabeledSym[symKey{n, id}]
-		}
-	}
-	return t.outLabeled[labelKey{n, label}]
-}
-
-// OutAllLabeled implements lorel.AllLabelSeeker.
-func (g *Graph) OutAllLabeled(n oem.NodeID, label string) []oem.Arc {
-	t := g.tables()
-	if t.bySym {
-		if id, ok := symbol.Lookup(label); ok {
-			return t.outAllLabeledSym[symKey{n, id}]
-		}
-	}
-	return t.outAllLabeled[labelKey{n, label}]
-}
-
 // OutLabeledSym implements lorel.SymSeeker: an exact-label probe keyed by
-// interned symbol id, skipping the string hash entirely. ok=false when
-// this generation's tables are string-keyed (interning was disabled at
-// build time); the evaluator then falls back to OutLabeled.
-func (g *Graph) OutLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool) {
-	t := g.tables()
-	if !t.bySym {
-		return nil, false
-	}
-	return t.outLabeledSym[symKey{n, sym}], true
+// interned symbol id. symbol.None keys nothing and yields nil.
+func (g *Graph) OutLabeledSym(n oem.NodeID, sym symbol.ID) []oem.Arc {
+	return g.tables().outLabeled[symKey{n, sym}]
 }
 
 // OutAllLabeledSym implements lorel.SymSeeker over the full arc relation.
-func (g *Graph) OutAllLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool) {
-	t := g.tables()
-	if !t.bySym {
-		return nil, false
-	}
-	return t.outAllLabeledSym[symKey{n, sym}], true
+func (g *Graph) OutAllLabeledSym(n oem.NodeID, sym symbol.ID) []oem.Arc {
+	return g.tables().outAllLabeled[symKey{n, sym}]
 }
 
 // OutAt implements lorel.TimeSeeker: the arcs of n live at time t, from

@@ -9,6 +9,7 @@ import (
 	"repro/internal/guidegen"
 	"repro/internal/lorel"
 	"repro/internal/obs"
+	"repro/internal/symbol"
 	"repro/internal/timestamp"
 )
 
@@ -239,5 +240,59 @@ func TestViewCacheEviction(t *testing.T) {
 				t.Fatalf("node %s at %s arc %d: got %s want %s", n, s0, i, a, want[i])
 			}
 		}
+	}
+}
+
+// TestIndexParityAbsentLabel pins the single symbol-keyed seeker on labels
+// the data never carries: the evaluator resolves such a label to
+// symbol.None, and the index must then agree with the raw scan on exact,
+// <add>/<rem> and regular-group steps — matching nothing where the label
+// is required and leaving the other alternatives of a group intact.
+func TestIndexParityAbsentLabel(t *testing.T) {
+	const absent = "index-parity-absent-label"
+	if _, ok := symbol.Lookup(absent); ok {
+		t.Fatalf("%q is already interned; pick a label no test loads", absent)
+	}
+	initial, h := guidegen.GenerateHistory(7, 10, 12, 5)
+	d, err := doem.FromHistory(initial, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := lorel.NewEngine()
+	raw.Register("guide", d)
+	idx := lorel.NewEngine()
+	idx.Register("guide", NewGraph(d))
+	queries := []string{
+		`select guide.` + absent,
+		`select guide.restaurant.` + absent,
+		`select T from guide.<add at T>` + absent,
+		`select T from guide.restaurant.<rem at T>` + absent,
+		`select guide.(` + absent + `|restaurant).name`,
+		`select guide.restaurant.(` + absent + `.name|price)`,
+		`select guide.restaurant.(` + absent + `)?.name`,
+		`select guide.(restaurant.` + absent + `)*`,
+	}
+	nonEmpty := 0
+	for _, q := range queries {
+		want, err := raw.Query(q)
+		if err != nil {
+			t.Fatalf("unindexed %q: %v", q, err)
+		}
+		got, err := idx.Query(q)
+		if err != nil {
+			t.Fatalf("indexed %q: %v", q, err)
+		}
+		if want.String() != got.String() {
+			t.Errorf("indexed result diverges for %q:\nunindexed:\n%s\nindexed:\n%s", q, want, got)
+		}
+		if len(want.Rows) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 3 {
+		t.Errorf("only %d queries matched anything; the group alternatives must still match", nonEmpty)
+	}
+	if _, ok := symbol.Lookup(absent); ok {
+		t.Errorf("querying %q interned it; lookups must not insert", absent)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/plan"
+	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
 )
@@ -385,9 +386,6 @@ type evaluation struct {
 	pollTimes []timestamp.Time
 	ctx       context.Context
 	tick      int
-	// stream snapshots StreamingEnabled() once per evaluation, so a gate
-	// flip mid-query cannot mix the two enumeration disciplines.
-	stream bool
 
 	// trace is the per-query trace from the context (nil when untraced;
 	// every call on a nil Trace is a no-op). Shared with forked workers —
@@ -422,7 +420,7 @@ func (e *Engine) newEvaluation(ctx context.Context) *evaluation {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return &evaluation{graphs: e.graphs, pollTimes: e.pollTimes, ctx: ctx, trace: tr, stream: StreamingEnabled()}
+	return &evaluation{graphs: e.graphs, pollTimes: e.pollTimes, ctx: ctx, trace: tr}
 }
 
 // fork clones the evaluation for a parallel worker: shared snapshots and
@@ -432,7 +430,6 @@ func (ev *evaluation) fork() *evaluation {
 		graphs:     ev.graphs,
 		pollTimes:  ev.pollTimes,
 		ctx:        ev.ctx,
-		stream:     ev.stream,
 		trace:      ev.trace,
 		constTimes: ev.constTimes,
 	}
@@ -524,22 +521,16 @@ func (e *Engine) evalQuery(ev *evaluation, q *Query) (*Result, error) {
 	}
 	res := &Result{}
 	seen := make(map[string]bool)
-	emit := ev.emitter(q, &res.Rows, seen)
+	emit := ev.emitterTo(q, seen, func(row Row) { res.Rows = append(res.Rows, row) })
 	if err := ev.enumerate(gens, 0, strict, nil, emit); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// emitter builds the tuple sink for one evaluation: it applies the where
-// clause, builds rows, and appends rows unseen in seen to *rows.
-func (ev *evaluation) emitter(q *Query, rows *[]Row, seen map[string]bool) func(*env) error {
-	return ev.emitterTo(q, seen, func(row Row) { *rows = append(*rows, row) })
-}
-
-// emitterTo is emitter with an arbitrary row sink instead of a slice: the
-// streaming parallel merge hands rows to a channel as they are produced
-// rather than buffering each shard to completion.
+// emitterTo builds the tuple sink for one evaluation: it applies the
+// where clause, builds rows, and hands rows unseen in seen to sink — a
+// slice append when serial, a channel send in a parallel worker.
 func (ev *evaluation) emitterTo(q *Query, seen map[string]bool, sink func(Row)) func(*env) error {
 	var kb []byte // reused key buffer; map lookups on string(kb) do not allocate
 	return func(en *env) error {
@@ -582,127 +573,25 @@ func (ev *evaluation) enumerate(gens []FromItem, i, strict int, en *env, emit fu
 		return emit(en)
 	}
 	g := gens[i]
-	if ev.stream {
-		// Streaming: each binding flows into the next generator as the
-		// walker produces it; no candidate slice is held, and an errStop
-		// from a downstream consumer (a future limit-style sink)
-		// propagates up and stops the walk.
-		n := 0
-		if err := ev.walkPath(en, g.Path, func(r pathResult) error {
-			n++
-			return ev.enumerate(gens, i+1, strict, r.env.extend(g.Var, r.b), emit)
-		}); err != nil {
-			return err
-		}
-		if n > 0 || i < strict {
-			return nil // strict with no bindings: no tuples
-		}
-		// Existential generator with no matches: bind the range variable
-		// and any annotation variables its path would have bound (and no
-		// earlier generator did) to null, so the rest of the where clause
-		// still evaluates.
-		return ev.enumerate(gens, i+1, strict, nullBind(en, g), emit)
-	}
-	results, err := ev.evalPath(en, g.Path)
-	if err != nil {
+	// Each binding flows into the next generator as the walker produces
+	// it; no candidate slice is held, and an errStop from a downstream
+	// consumer (a future limit-style sink) propagates up and stops the
+	// walk.
+	n := 0
+	if err := ev.walkPath(en, g.Path, func(r pathResult) error {
+		n++
+		return ev.enumerate(gens, i+1, strict, r.env.extend(g.Var, r.b), emit)
+	}); err != nil {
 		return err
 	}
-	if len(results) == 0 {
-		if i < strict {
-			return nil // strict: no bindings, no tuples
-		}
-		return ev.enumerate(gens, i+1, strict, nullBind(en, g), emit)
+	if n > 0 || i < strict {
+		return nil // strict with no bindings: no tuples
 	}
-	for _, r := range results {
-		if err := ev.enumerate(gens, i+1, strict, r.env.extend(g.Var, r.b), emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// evalPath evaluates a path expression in an environment.
-func (ev *evaluation) evalPath(en *env, p *PathExpr) ([]pathResult, error) {
-	var frontier []pathResult
-	if b, ok := en.lookup(p.Head); ok {
-		frontier = []pathResult{{b: b, env: en}}
-	} else if g, ok := ev.graphs[p.Head]; ok {
-		frontier = []pathResult{{b: nodeBinding(g, g.Root()), env: en}}
-	} else {
-		return nil, errf(p.P, "unknown name %q (neither a variable in scope nor a registered database)", p.Head)
-	}
-	for _, step := range p.Steps {
-		next := make([]pathResult, 0, len(frontier))
-		bindsVars := stepBindsVars(step)
-
-		// Dedup state. Frontiers are overwhelmingly uniform — node
-		// bindings sharing one as-of state — so dedup starts on bare
-		// NodeIDs and migrates to full visitKeys only if a binding breaks
-		// the pattern.
-		var (
-			ids map[oem.NodeID]bool
-			gen map[visitKey]bool
-			ref binding // as-of template shared by every entry in ids
-		)
-		fresh := func(b binding) bool {
-			if gen == nil && b.kind == bNode {
-				if ids == nil {
-					ids = make(map[oem.NodeID]bool, 2*len(frontier))
-					ref = b
-				}
-				if b.hasAsOf == ref.hasAsOf && (!b.hasAsOf || b.asOf == ref.asOf) {
-					if ids[b.id] {
-						return false
-					}
-					ids[b.id] = true
-					return true
-				}
-			}
-			if gen == nil {
-				gen = make(map[visitKey]bool, len(ids)+16)
-				for id := range ids {
-					rb := ref
-					rb.id = id
-					gen[rb.visitKey()] = true
-				}
-			}
-			k := b.visitKey()
-			if gen[k] {
-				return false
-			}
-			gen[k] = true
-			return true
-		}
-
-		for _, cur := range frontier {
-			if err := ev.checkCancel(); err != nil {
-				return nil, err
-			}
-			start := len(next)
-			var err error
-			next, err = ev.expandStep(next, cur, step)
-			if err != nil {
-				return nil, err
-			}
-			if !bindsVars {
-				// Environments are unchanged, so identical targets from
-				// different parents are redundant.
-				kept := next[:start]
-				for _, r := range next[start:] {
-					if !fresh(r.b) {
-						continue
-					}
-					kept = append(kept, r)
-				}
-				next = kept
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			return nil, nil
-		}
-	}
-	return frontier, nil
+	// Existential generator with no matches: bind the range variable and
+	// any annotation variables its path would have bound (and no earlier
+	// generator did) to null, so the rest of the where clause still
+	// evaluates.
+	return ev.enumerate(gens, i+1, strict, nullBind(en, g), emit)
 }
 
 // pathAnnotVars collects the annotation variables a path binds.
@@ -732,145 +621,6 @@ func stepBindsVars(s *PathStep) bool {
 	return false
 }
 
-// expandStep applies one path step to one binding, appending the reached
-// bindings to dst. The append style lets one evalPath step accumulate its
-// whole frontier in a single slice instead of allocating a short-lived
-// slice per expanded binding.
-func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathStep) ([]pathResult, error) {
-	if cur.b.kind != bNode {
-		return dst, nil // cannot traverse from a value or null
-	}
-	g := cur.b.g
-
-	// Regular path group: (a.b|c) with an optional quantifier.
-	if step.Group != nil {
-		return ev.expandGroup(dst, cur, step.Group), nil
-	}
-
-	// '#' wildcard: all nodes reachable in zero or more steps.
-	if step.Hash {
-		out := dst
-		seen := map[oem.NodeID]bool{cur.b.id: true}
-		stack := []oem.NodeID{cur.b.id}
-		for len(stack) > 0 {
-			if err := ev.checkCancel(); err != nil {
-				return dst, err
-			}
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			nb := cur.b
-			nb.id = n
-			out = append(out, pathResult{b: nb, env: cur.env})
-			for _, a := range ev.liveArcs(cur.b, g, n) {
-				if !seen[a.Child] {
-					seen[a.Child] = true
-					stack = append(stack, a.Child)
-				}
-			}
-		}
-		return out, nil
-	}
-
-	// Select candidate (arc, envExtension) pairs according to the arc
-	// annotation expression.
-	out := dst
-	appendChild := func(child oem.NodeID, en *env, asOf *timestamp.Time) error {
-		nb := cur.b
-		nb.id = child
-		if asOf != nil {
-			nb.hasAsOf = true
-			nb.asOf = *asOf
-		}
-		var err error
-		out, err = ev.applyNodeAnnot(out, pathResult{b: nb, env: en}, step.Node)
-		return err
-	}
-
-	switch {
-	case step.Arc == nil:
-		// Exact-label steps over the current snapshot resolve from the
-		// adjacency index when the graph provides one; the arcs come back
-		// in the same insertion order the scan below would produce.
-		if ls, ok := g.(LabelSeeker); ok && exactLabel(step) && !cur.b.hasAsOf {
-			for _, a := range ls.OutLabeled(cur.b.id, step.Label) {
-				if err := appendChild(a.Child, cur.env, nil); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-		for _, a := range ev.liveArcs(cur.b, g, cur.b.id) {
-			if !labelMatch(step, a.Label) {
-				continue
-			}
-			if err := appendChild(a.Child, cur.env, nil); err != nil {
-				return nil, err
-			}
-		}
-	case step.Arc.Op == OpAdd || step.Arc.Op == OpRem:
-		wantKind := annotKindFor(step.Arc.Op)
-		// Exact-label annotation steps read the (parent, label) slice of
-		// the full arc relation instead of scanning every arc ever; the
-		// index preserves insertion order within the label.
-		arcs := g.OutAll(cur.b.id)
-		if as, ok := g.(AllLabelSeeker); ok && exactLabel(step) {
-			arcs = as.OutAllLabeled(cur.b.id, step.Label)
-		}
-		for _, a := range arcs {
-			if !labelMatch(step, a.Label) {
-				continue
-			}
-			for _, ann := range g.ArcAnnots(a) {
-				if ann.Kind != wantKind {
-					continue
-				}
-				en := cur.env
-				if step.Arc.AtVar != "" {
-					en = en.extend(step.Arc.AtVar, valueBinding(value.Time(ann.At)))
-				}
-				if err := appendChild(a.Child, en, nil); err != nil {
-					return nil, err
-				}
-			}
-		}
-	case step.Arc.Op == OpAt:
-		t, ok, err := ev.evalTime(cur.env, step.Arc.AtExpr)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return dst, nil
-		}
-		// A materialized time-t view skips the per-arc annotation scans;
-		// it is OutAll filtered by liveness, so filtering it by label
-		// visits the same arcs in the same order as the fallback.
-		if ts, ok := g.(TimeSeeker); ok {
-			for _, a := range ts.OutAt(cur.b.id, t) {
-				if !labelMatch(step, a.Label) {
-					continue
-				}
-				if err := appendChild(a.Child, cur.env, &t); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-		for _, a := range g.OutAll(cur.b.id) {
-			if !labelMatch(step, a.Label) {
-				continue
-			}
-			if g.ArcLiveAt(a, t) {
-				if err := appendChild(a.Child, cur.env, &t); err != nil {
-					return nil, err
-				}
-			}
-		}
-	default:
-		return nil, errf(step.P, "%s annotation cannot precede an arc label", step.Arc.Op)
-	}
-	return out, nil
-}
-
 // expandGroup applies a regular path group to one binding: each
 // application follows one of the alternative label sequences; the
 // quantifier controls repetition. Group labels support '%' globs like
@@ -879,7 +629,7 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 func (ev *evaluation) expandGroup(dst []pathResult, cur pathResult, grp *PathGroup) []pathResult {
 	g := cur.b.g
 
-	ls, hasLS := g.(LabelSeeker)
+	ss, hasSS := g.(SymSeeker)
 
 	// followSeq walks one fixed label sequence from a node set.
 	followSeq := func(start map[oem.NodeID]bool, seq []string) map[oem.NodeID]bool {
@@ -887,12 +637,14 @@ func (ev *evaluation) expandGroup(dst []pathResult, cur pathResult, grp *PathGro
 		for _, label := range seq {
 			next := make(map[oem.NodeID]bool)
 			glob := strings.Contains(label, "%")
-			if hasLS && !glob && !cur.b.hasAsOf {
+			if hasSS && !glob && !cur.b.hasAsOf {
 				// Exact labels over the current snapshot come straight
 				// from the adjacency index; the frontier is a set, so
-				// arc order is immaterial here.
+				// arc order is immaterial here. A label never interned
+				// resolves to symbol.None and reaches nothing.
+				sym, _ := symbol.Lookup(label)
 				for n := range frontier {
-					for _, a := range ls.OutLabeled(n, label) {
+					for _, a := range ss.OutLabeledSym(n, sym) {
 						next[a.Child] = true
 					}
 				}
@@ -996,62 +748,6 @@ func (ev *evaluation) liveArcs(b binding, g Graph, n oem.NodeID) []oem.Arc {
 	return arcs
 }
 
-// applyNodeAnnot filters/expands one reached node through a node annotation
-// expression, appending the surviving bindings to dst.
-func (ev *evaluation) applyNodeAnnot(dst []pathResult, r pathResult, ann *AnnotExpr) ([]pathResult, error) {
-	if ann == nil {
-		return append(dst, r), nil
-	}
-	g := r.b.g
-	switch ann.Op {
-	case OpCre:
-		ct, ok := g.CreTime(r.b.id)
-		if !ok {
-			return dst, nil
-		}
-		en := r.env
-		if ann.AtVar != "" {
-			en = en.extend(ann.AtVar, valueBinding(value.Time(ct)))
-		}
-		return append(dst, pathResult{b: r.b, env: en}), nil
-	case OpUpd:
-		for _, u := range g.UpdTriples(r.b.id) {
-			en := r.env
-			if ann.AtVar != "" {
-				en = en.extend(ann.AtVar, valueBinding(value.Time(u.At)))
-			}
-			if ann.FromVar != "" {
-				en = en.extend(ann.FromVar, valueBinding(u.Old))
-			}
-			if ann.ToVar != "" {
-				en = en.extend(ann.ToVar, valueBinding(u.New))
-			}
-			dst = append(dst, pathResult{b: r.b, env: en})
-		}
-		return dst, nil
-	case OpAt:
-		t, ok, err := ev.evalTime(r.env, ann.AtExpr)
-		if err != nil || !ok {
-			return dst, err
-		}
-		nb := r.b
-		nb.hasAsOf = true
-		nb.asOf = t
-		return append(dst, pathResult{b: nb, env: r.env}), nil
-	default:
-		return dst, errf(ann.P, "%s annotation cannot follow a label", ann.Op)
-	}
-}
-
-// labelMatch matches an arc label against a step: exact for quoted labels,
-// with '%' globbing otherwise.
-func labelMatch(step *PathStep, label string) bool {
-	if exactLabel(step) {
-		return step.Label == label
-	}
-	return value.Str(label).Like(step.Label)
-}
-
 // exactLabel reports whether the step's label matches by string equality
 // only (no '%' globbing), making it servable from a label index.
 func exactLabel(step *PathStep) bool {
@@ -1119,15 +815,12 @@ func (ev *evaluation) evalOperand(en *env, ex Expr) ([]binding, error) {
 	case *TimeRefExpr:
 		return []binding{valueBinding(value.Time(ev.pollTime(x.Index)))}, nil
 	case *PathValueExpr:
-		rs, err := ev.evalPath(en, x.Path)
-		if err != nil {
-			return nil, err
-		}
-		bs := make([]binding, 0, len(rs))
-		for _, r := range rs {
+		var bs []binding
+		err := ev.walkPath(en, x.Path, func(r pathResult) error {
 			bs = append(bs, r.b)
-		}
-		return bs, nil
+			return nil
+		})
+		return bs, err
 	case *BinExpr:
 		switch x.Op {
 		case "+", "-", "*", "/":
@@ -1185,9 +878,9 @@ func (ev *evaluation) evalOperand(en *env, ex Expr) ([]binding, error) {
 // the coercible numeric (or, for min/max, comparable) values and yield null
 // on an empty fold.
 func (ev *evaluation) evalAggregate(en *env, agg *AggExpr) (value.Value, error) {
-	// The fold consumes the walker's stream directly (when streaming is
-	// on) instead of materializing the match slice first; a count over a
-	// large path holds no intermediate state but the counter.
+	// The fold consumes the walker's stream directly instead of
+	// materializing the match slice first; a count over a large path
+	// holds no intermediate state but the counter.
 	var acc value.Value
 	var cnt int64
 	n := 0
@@ -1224,18 +917,8 @@ func (ev *evaluation) evalAggregate(en *env, agg *AggExpr) (value.Value, error) 
 		n++
 		return nil
 	}
-	if ev.stream {
-		if err := ev.walkPath(en, agg.Path, fold); err != nil {
-			return value.Value{}, err
-		}
-	} else {
-		rs, err := ev.evalPath(en, agg.Path)
-		if err != nil {
-			return value.Value{}, err
-		}
-		for _, r := range rs {
-			_ = fold(r)
-		}
+	if err := ev.walkPath(en, agg.Path, fold); err != nil {
+		return value.Value{}, err
 	}
 	if agg.Fn == "count" {
 		return value.Int(cnt), nil
@@ -1309,8 +992,6 @@ func (ev *evaluation) evalBool(en *env, ex Expr) (bool, error) {
 		// the whole x.In result set before testing a single candidate made
 		// exists pay for every match even when the first one satisfied;
 		// this walk does work proportional to the first witness's position.
-		// The walker is used here regardless of the REPRO_NOSTREAM gate:
-		// the short-circuit is a bugfix, not an optimization mode.
 		found := false
 		err := ev.walkPath(en, x.In, func(r pathResult) error {
 			ev.bindings++ // one candidate examined

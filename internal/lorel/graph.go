@@ -54,41 +54,22 @@ var _ Graph = (*doem.Database)(nil)
 // provide them. Implementations must return arcs in the exact order the
 // fallback scan would produce (insertion order, filtered) — parallel
 // evaluation and the indexed/unindexed parity guarantee both depend on
-// byte-identical result ordering. internal/index provides all three.
-
-// LabelSeeker is an optional Graph extension serving exact-label arc
-// lookups from an adjacency index instead of a scan over Out.
-type LabelSeeker interface {
-	// OutLabeled returns the current-snapshot arcs of n labeled exactly
-	// label, in insertion order.
-	OutLabeled(n oem.NodeID, label string) []oem.Arc
-}
-
-// AllLabelSeeker is the LabelSeeker analogue over the full arc relation
-// (removed arcs included), used by <add>/<rem> annotation steps.
-type AllLabelSeeker interface {
-	// OutAllLabeled returns every arc of n labeled exactly label,
-	// removed arcs included, in insertion order.
-	OutAllLabeled(n oem.NodeID, label string) []oem.Arc
-}
+// byte-identical result ordering. internal/index provides both.
 
 // SymSeeker is an optional Graph extension serving exact-label adjacency
-// by interned symbol id. The evaluator resolves a path step's label to a
-// symbol once per walk (symbol.Lookup) and then probes with the id per
-// binding, replacing a string-keyed map hash per binding with a fixed
-// 12-byte key hash. The boolean result reports whether the graph could
-// serve the request at all: ok=false (for example, the index tables were
-// built with interning disabled) sends the evaluator to the string-keyed
-// LabelSeeker path, so a gate flip between builds degrades instead of
-// misses. When ok=true the arcs must be exactly what OutLabeled /
-// OutAllLabeled would return for the symbol's string.
+// from an index keyed by interned symbol id. The evaluator resolves a
+// path step's label once per walk with symbol.Lookup and probes with the
+// id per binding. Every arc constructor canonicalizes its label through
+// symbol.Canon, so a label present in the graph is always interned; a
+// Lookup miss yields symbol.None, which keys nothing, and the step
+// matches nothing — exactly what a scan would find.
 type SymSeeker interface {
 	// OutLabeledSym returns the current-snapshot arcs of n whose label is
 	// the canonical string of sym, in insertion order.
-	OutLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool)
+	OutLabeledSym(n oem.NodeID, sym symbol.ID) []oem.Arc
 	// OutAllLabeledSym is the same over the full arc relation, removed
 	// arcs included.
-	OutAllLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool)
+	OutAllLabeledSym(n oem.NodeID, sym symbol.ID) []oem.Arc
 }
 
 // TimeSeeker is an optional Graph extension serving time-travel adjacency:

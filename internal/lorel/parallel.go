@@ -9,8 +9,8 @@ import "sync"
 // for a single generator is cheap relative to the nested enumeration it
 // feeds), then split into contiguous ranges, one per worker. Each worker
 // owns a forked evaluation and enumerates the remaining generators for its
-// range exactly as serial evaluation would, collecting rows into a private
-// shard with a private dedup map. Shards are concatenated in partition
+// range exactly as serial evaluation would, streaming rows deduplicated by
+// a private map to its own channel. Shards are concatenated in partition
 // order under a global dedup, which yields the same row sequence as serial
 // evaluation: dedup keeps the first occurrence, so deduplicating
 // already-deduplicated shards in order is equivalent to deduplicating the
@@ -24,7 +24,7 @@ func (ev *evaluation) evalParallel(q *Query, gens []FromItem, strict, workers in
 	if len(gens) == 0 {
 		return nil, false, nil
 	}
-	outer, err := ev.evalPath(nil, gens[0].Path)
+	outer, err := ev.collectPath(nil, gens[0].Path)
 	if err != nil {
 		return nil, true, err
 	}
@@ -37,7 +37,6 @@ func (ev *evaluation) evalParallel(q *Query, gens []FromItem, strict, workers in
 
 	mParallel.Inc()
 	type shard struct {
-		rows []Row
 		// errAt is the outer-binding index at which err occurred; the
 		// merge returns the error with the smallest index, which is the
 		// first error serial evaluation would have hit.
@@ -50,19 +49,16 @@ func (ev *evaluation) evalParallel(q *Query, gens []FromItem, strict, workers in
 		dedupHits int64
 	}
 	shards := make([]shard, workers)
-	// In streaming mode each worker sends rows over a bounded channel as
-	// they are produced; the merge consumes the channels in partition order
-	// while later workers are still running, so shards never buffer in full
-	// and the first rows reach the merged result before the last outer
-	// binding has been enumerated. Order is unchanged: channel i is drained
-	// to exhaustion before channel i+1 is touched, which is exactly the
-	// concatenation order the buffered merge uses.
-	var chans []chan Row
-	if ev.stream {
-		chans = make([]chan Row, workers)
-		for w := range chans {
-			chans[w] = make(chan Row, 256)
-		}
+	// Each worker sends rows over a bounded channel as they are produced;
+	// the merge consumes the channels in partition order while later
+	// workers are still running, so shards never buffer in full and the
+	// first rows reach the merged result before the last outer binding has
+	// been enumerated. Order is unchanged: channel i is drained to
+	// exhaustion before channel i+1 is touched, which is exactly the
+	// concatenation of the serial shards.
+	chans := make([]chan Row, workers)
+	for w := range chans {
+		chans[w] = make(chan Row, 256)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -75,17 +71,11 @@ func (ev *evaluation) evalParallel(q *Query, gens []FromItem, strict, workers in
 			wev := ev.fork()
 			seen := make(map[string]bool)
 			rows := 0
-			var emit func(*env) error
-			if ev.stream {
-				ch := chans[w]
-				// errAt/err are written before close(ch); the merge reads
-				// them only after draining ch, so close synchronizes the
-				// hand-off.
-				defer close(ch)
-				emit = wev.emitterTo(q, seen, func(row Row) { rows++; ch <- row })
-			} else {
-				emit = wev.emitter(q, &sh.rows, seen)
-			}
+			ch := chans[w]
+			// errAt/err are written before close(ch); the merge reads them
+			// only after draining ch, so close synchronizes the hand-off.
+			defer close(ch)
+			emit := wev.emitterTo(q, seen, func(row Row) { rows++; ch <- row })
 			for i := lo; i < hi; i++ {
 				r := outer[i]
 				en := r.env.extend(gens[0].Var, r.b)
@@ -95,30 +85,25 @@ func (ev *evaluation) evalParallel(q *Query, gens []FromItem, strict, workers in
 				}
 			}
 			sh.bindings, sh.dedupHits = wev.bindings, wev.dedupHits
-			if !ev.stream {
-				rows = len(sh.rows)
-			}
 			sp.EndNote("w=%d range=[%d,%d) rows=%d", w, lo, hi, rows)
 		}(w, &shards[w], lo, hi)
 	}
 
 	res = &Result{}
-	if ev.stream {
-		msp := ev.trace.StartSpan("merge")
-		seen := make(map[string]bool)
-		for _, ch := range chans {
-			for row := range ch {
-				k := row.key()
-				if !seen[k] {
-					seen[k] = true
-					res.Rows = append(res.Rows, row)
-				} else {
-					ev.dedupHits++
-				}
+	msp := ev.trace.StartSpan("merge")
+	seen := make(map[string]bool)
+	for _, ch := range chans {
+		for row := range ch {
+			k := row.key()
+			if !seen[k] {
+				seen[k] = true
+				res.Rows = append(res.Rows, row)
+			} else {
+				ev.dedupHits++
 			}
 		}
-		msp.EndNote("workers=%d rows=%d", workers, len(res.Rows))
 	}
+	msp.EndNote("workers=%d rows=%d", workers, len(res.Rows))
 	wg.Wait()
 	for i := range shards {
 		ev.bindings += shards[i].bindings
@@ -139,23 +124,6 @@ func (ev *evaluation) evalParallel(q *Query, gens []FromItem, strict, workers in
 	}
 	if firstErr != nil {
 		return nil, true, firstErr
-	}
-
-	if !ev.stream {
-		msp := ev.trace.StartSpan("merge")
-		seen := make(map[string]bool)
-		for i := range shards {
-			for _, row := range shards[i].rows {
-				k := row.key()
-				if !seen[k] {
-					seen[k] = true
-					res.Rows = append(res.Rows, row)
-				} else {
-					ev.dedupHits++
-				}
-			}
-		}
-		msp.EndNote("workers=%d rows=%d", workers, len(res.Rows))
 	}
 	return res, true, nil
 }

@@ -111,31 +111,17 @@ func (x *plannedExec) run(en *env, d int) error {
 	}
 	gi := pl.Order[d]
 	g := x.gens[gi]
-	if x.ev.stream {
-		// Stream candidates through the walker instead of materializing the
-		// generator's binding list. The walker yields in the exact order
-		// evalPath would return, so the candidate index k (the written-order
-		// rank component for reordered plans) is just a running counter.
-		k := int32(0)
-		return x.ev.walkPath(en, g.Path, func(r pathResult) error {
-			x.actual[gi]++
-			x.idx[gi] = k
-			k++
-			return x.run(r.env.extend(g.Var, r.b), d+1)
-		})
-	}
-	results, err := x.ev.evalPath(en, g.Path)
-	if err != nil {
-		return err
-	}
-	x.actual[gi] += int64(len(results))
-	for k, r := range results {
-		x.idx[gi] = int32(k)
-		if err := x.run(r.env.extend(g.Var, r.b), d+1); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Stream candidates through the walker instead of materializing the
+	// generator's binding list. The walker's order depends only on the
+	// bindings in scope, so the candidate index k (the written-order rank
+	// component for reordered plans) is just a running counter.
+	k := int32(0)
+	return x.ev.walkPath(en, g.Path, func(r pathResult) error {
+		x.actual[gi]++
+		x.idx[gi] = k
+		k++
+		return x.run(r.env.extend(g.Var, r.b), d+1)
+	})
 }
 
 // existSat searches the existential block (d existential generators
@@ -157,53 +143,33 @@ func (x *plannedExec) existSat(en *env, d int) (bool, error) {
 	}
 	gi := pl.Order[pl.NStrict+d]
 	g := x.gens[gi]
-	if x.ev.stream {
-		// Existential search only needs one satisfying completion, so the
-		// walker stops producing candidates at the first one: candidates
-		// past the witness are never generated at all, and actual[gi]
-		// counts only the candidates actually examined.
-		n := 0
-		sat := false
-		err := x.ev.walkPath(en, g.Path, func(r pathResult) error {
-			n++
-			x.actual[gi]++
-			s, err := x.existSat(r.env.extend(g.Var, r.b), d+1)
-			if err != nil {
-				return err
-			}
-			if s {
-				sat = true
-				return errStop
-			}
-			return nil
-		})
-		if err != nil && err != errStop {
-			return false, err
+	// Existential search only needs one satisfying completion, so the
+	// walker stops producing candidates at the first one: candidates past
+	// the witness are never generated at all, and actual[gi] counts only
+	// the candidates actually examined.
+	n := 0
+	sat := false
+	err := x.ev.walkPath(en, g.Path, func(r pathResult) error {
+		n++
+		x.actual[gi]++
+		s, err := x.existSat(r.env.extend(g.Var, r.b), d+1)
+		if err != nil {
+			return err
 		}
-		if sat {
-			return true, nil
+		if s {
+			sat = true
+			return errStop
 		}
-		if n == 0 {
-			return x.existSat(nullBind(en, g), d+1)
-		}
-		return false, nil
-	}
-	results, err := x.ev.evalPath(en, g.Path)
-	if err != nil {
+		return nil
+	})
+	if err != nil && err != errStop {
 		return false, err
 	}
-	x.actual[gi] += int64(len(results))
-	if len(results) == 0 {
-		return x.existSat(nullBind(en, g), d+1)
+	if sat {
+		return true, nil
 	}
-	for _, r := range results {
-		sat, err := x.existSat(r.env.extend(g.Var, r.b), d+1)
-		if err != nil {
-			return false, err
-		}
-		if sat {
-			return true, nil
-		}
+	if n == 0 {
+		return x.existSat(nullBind(en, g), d+1)
 	}
 	return false, nil
 }
@@ -331,7 +297,7 @@ func (e *Engine) evalPlannedParallel(ev *evaluation, q *Query, pr *prepared, wor
 	}
 	o0 := pl.Order[0]
 	g := pr.gens[o0]
-	outer, err := ev.evalPath(nil, g.Path)
+	outer, err := ev.collectPath(nil, g.Path)
 	if err != nil {
 		return nil, true, err
 	}

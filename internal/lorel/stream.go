@@ -2,8 +2,6 @@ package lorel
 
 import (
 	"errors"
-	"os"
-	"sync/atomic"
 
 	"repro/internal/oem"
 	"repro/internal/symbol"
@@ -11,28 +9,28 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the streaming half of the evaluation core: a push-style
-// depth-first path walker that yields matches one at a time instead of
-// materializing []pathResult frontiers. Consumers stop the walk early by
-// returning errStop from the yield — `exists` stops at its first witness,
+// This file is the evaluator's path expander: a push-style depth-first
+// walker that yields matches one at a time instead of materializing
+// []pathResult frontiers. Consumers stop the walk early by returning
+// errStop from the yield — `exists` stops at its first witness,
 // enumerate streams generator bindings into the next generator without
 // holding a candidate slice, and the planned executor's existential
 // search stops expanding the instant a completion satisfies.
 //
-// The walker is provably order-identical to the materializing BFS in
-// evalPath: both visit the step-k matches of a path in the same sequence
-// (the DFS emission order at depth k is the concatenation, over depth
+// The walker is order-identical to a breadth-first frontier expansion:
+// the DFS emission order at depth k is the concatenation, over depth
 // k-1 matches in order, of each match's expansions — exactly the order
-// the BFS frontier loop appends them), and both apply the same per-step
+// a BFS frontier loop appends them — and both apply the same per-step
 // first-occurrence dedup, so the dedup decisions coincide too. The
-// streaming-vs-materialized parity suite holds both halves to that.
+// package tests keep such a BFS as the reference oracle and hold the
+// walker byte-identical to it.
 //
 // One semantic note, documented in docs/eval.md: early termination can
-// skip path-expansion work the materializing evaluator would have done
-// after the stopping point, so an error lurking past the first witness
-// of an `exists` is not surfaced. This mirrors the planner's contract
-// (pushed conjuncts must be pure and error-free for reordering) — the
-// set of *successful* results is unchanged; only doomed work is skipped.
+// skip path-expansion work a full expansion would have done after the
+// stopping point, so an error lurking past the first witness of an
+// `exists` is not surfaced. This mirrors the planner's contract (pushed
+// conjuncts must be pure and error-free for reordering) — the set of
+// *successful* results is unchanged; only doomed work is skipped.
 
 // errStop is the sentinel a pathYield returns to end a walk early. It
 // never escapes the package: walkPath returns it to the caller that
@@ -43,45 +41,22 @@ var errStop = errors.New("lorel: stop iteration")
 // early and successfully; any other error aborts it.
 type pathYield func(pathResult) error
 
-// streamDisabled flips the evaluator back to materialize-then-filter
-// enumeration (the pre-streaming reference semantics) for A/B parity
-// testing and benchmarking. The `exists` short-circuit is a bugfix, not
-// an optimization, and stays on either way.
-var streamDisabled atomic.Bool
-
-func init() {
-	if v := os.Getenv("REPRO_NOSTREAM"); v != "" && v != "0" {
-		streamDisabled.Store(true)
-	}
-}
-
-// StreamingEnabled reports whether evaluations stream generator and
-// aggregate bindings through the pull-free walker (the default) instead
-// of materializing candidate slices. REPRO_NOSTREAM or SetStreaming
-// turns it off — mirroring plan.Enabled. Each evaluation snapshots the
-// gate once when it starts.
-func StreamingEnabled() bool { return !streamDisabled.Load() }
-
-// SetStreaming sets the package-wide default and returns the previous
-// value.
-func SetStreaming(on bool) (prev bool) { return !streamDisabled.Swap(!on) }
-
 // stepCtx is the per-step state of one walk: the resolved label matcher
-// (symbol id, canonical pattern) and the step's persistent dedup sets.
-// Resolving once per walk instead of once per binding is itself a win —
-// the materializing evaluator re-asserted optional interfaces and
-// re-examined the label for every frontier element.
+// (symbol id, canonical pattern) and the step's persistent dedup sets,
+// resolved once per walk instead of once per binding.
 type stepCtx struct {
 	step  *PathStep
 	binds bool // step binds annotation variables; dedup must not apply
 	exact bool // label matches by equality (no '%' glob)
+	// sym is the exact label's symbol, or symbol.None when the label was
+	// never interned — and so labels no arc, since every arc constructor
+	// interns its label.
 	sym   symbol.ID
-	symOK bool   // sym resolved: interning on and the label is interned
 	canon string // canonical pattern for fallback equality scans
 
-	// Per-step dedup, identical to evalPath's fresh closure: starts on
-	// bare NodeIDs under a shared as-of template and migrates to full
-	// visitKeys only if a binding breaks the pattern.
+	// Per-step first-occurrence dedup: starts on bare NodeIDs under a
+	// shared as-of template and migrates to full visitKeys only if a
+	// binding breaks the pattern.
 	ids map[oem.NodeID]bool
 	gen map[visitKey]bool
 	ref binding
@@ -93,9 +68,9 @@ func (st *stepCtx) init(s *PathStep) {
 	if s.Group == nil && !s.Hash {
 		st.exact = exactLabel(s)
 		st.canon = s.Label
-		if st.exact && symbol.Enabled() {
+		if st.exact {
 			if id, ok := symbol.Lookup(s.Label); ok {
-				st.sym, st.symOK = id, true
+				st.sym = id
 				st.canon = symbol.String(id)
 			}
 		}
@@ -112,7 +87,7 @@ func (st *stepCtx) match(label string) bool {
 	return value.Str(label).Like(st.step.Label)
 }
 
-// fresh is evalPath's per-step first-occurrence dedup as a method.
+// fresh reports whether b is the step's first occurrence of its target.
 func (st *stepCtx) fresh(b binding) bool {
 	if st.gen == nil && b.kind == bNode {
 		if st.ids == nil {
@@ -153,20 +128,16 @@ type pathWalker struct {
 	steps []stepCtx
 
 	g     Graph
-	ls    LabelSeeker
-	hasLS bool
-	as    AllLabelSeeker
-	hasAS bool
 	ts    TimeSeeker
 	hasTS bool
 	ss    SymSeeker
 	hasSS bool
 }
 
-// walkPath streams the matches of p under en to yield, in exactly the
-// order evalPath would materialize them. yield returning errStop ends
-// the walk early; walkPath returns errStop in that case so the caller
-// can distinguish its own stop from a real error.
+// walkPath streams the matches of p under en to yield, in breadth-first
+// frontier order. yield returning errStop ends the walk early; walkPath
+// returns errStop in that case so the caller can distinguish its own stop
+// from a real error.
 func (ev *evaluation) walkPath(en *env, p *PathExpr, yield pathYield) error {
 	var head pathResult
 	if b, ok := en.lookup(p.Head); ok {
@@ -185,12 +156,22 @@ func (ev *evaluation) walkPath(en *env, p *PathExpr, yield pathYield) error {
 	}
 	if head.b.kind == bNode {
 		w.g = head.b.g
-		w.ls, w.hasLS = w.g.(LabelSeeker)
-		w.as, w.hasAS = w.g.(AllLabelSeeker)
 		w.ts, w.hasTS = w.g.(TimeSeeker)
 		w.ss, w.hasSS = w.g.(SymSeeker)
 	}
 	return w.walk(head, 0)
+}
+
+// collectPath materializes the matches of p under en in walk order, for
+// the callers that need the whole set: operand evaluation and the outer
+// generator a parallel evaluation partitions.
+func (ev *evaluation) collectPath(en *env, p *PathExpr) ([]pathResult, error) {
+	var out []pathResult
+	err := ev.walkPath(en, p, func(r pathResult) error {
+		out = append(out, r)
+		return nil
+	})
+	return out, err
 }
 
 // walk expands cur through the steps from depth on, yielding completed
@@ -232,8 +213,7 @@ func (w *pathWalker) liveArcs(b binding, n oem.NodeID) []oem.Arc {
 }
 
 // expand applies one path step to one binding, delivering each reached
-// binding. It mirrors evaluation.expandStep case for case; the only
-// differences are streaming delivery and the hoisted per-step matcher.
+// binding.
 func (w *pathWalker) expand(cur pathResult, depth int) error {
 	if cur.b.kind != bNode {
 		return nil // cannot traverse from a value or null
@@ -255,8 +235,8 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 	}
 
 	// '#' wildcard: all nodes reachable in zero or more steps, streamed
-	// in the same stack order the materializing walker produced — an
-	// exists over guide.# stops the closure at its first witness.
+	// in stack order — an exists over guide.# stops the closure at its
+	// first witness.
 	if step.Hash {
 		seen := map[oem.NodeID]bool{cur.b.id: true}
 		stack := []oem.NodeID{cur.b.id}
@@ -284,28 +264,15 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 	switch {
 	case step.Arc == nil:
 		// Exact-label steps over the current snapshot resolve from the
-		// adjacency index when the graph provides one — by symbol id when
-		// the tables are sym-keyed, by string otherwise. Both return arcs
+		// adjacency index when the graph provides one; the arcs come back
 		// in the same insertion order the scan below would produce.
-		if st.exact && !cur.b.hasAsOf {
-			if w.hasSS && st.symOK {
-				if arcs, ok := w.ss.OutLabeledSym(cur.b.id, st.sym); ok {
-					for _, a := range arcs {
-						if err := w.child(cur, depth, a.Child, cur.env, nil); err != nil {
-							return err
-						}
-					}
-					return nil
+		if st.exact && !cur.b.hasAsOf && w.hasSS {
+			for _, a := range w.ss.OutLabeledSym(cur.b.id, st.sym) {
+				if err := w.child(cur, depth, a.Child, cur.env, nil); err != nil {
+					return err
 				}
 			}
-			if w.hasLS {
-				for _, a := range w.ls.OutLabeled(cur.b.id, step.Label) {
-					if err := w.child(cur, depth, a.Child, cur.env, nil); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
+			return nil
 		}
 		for _, a := range w.liveArcs(cur.b, cur.b.id) {
 			if !st.match(a.Label) {
@@ -319,16 +286,11 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 		wantKind := annotKindFor(step.Arc.Op)
 		// Exact-label annotation steps read the (parent, label) slice of
 		// the full arc relation instead of scanning every arc ever.
-		arcs, served := []oem.Arc(nil), false
-		if st.exact && w.hasSS && st.symOK {
-			arcs, served = w.ss.OutAllLabeledSym(cur.b.id, st.sym)
-		}
-		if !served {
-			if st.exact && w.hasAS {
-				arcs = w.as.OutAllLabeled(cur.b.id, step.Label)
-			} else {
-				arcs = g.OutAll(cur.b.id)
-			}
+		var arcs []oem.Arc
+		if st.exact && w.hasSS {
+			arcs = w.ss.OutAllLabeledSym(cur.b.id, st.sym)
+		} else {
+			arcs = g.OutAll(cur.b.id)
 		}
 		for _, a := range arcs {
 			if !st.match(a.Label) {
@@ -383,8 +345,7 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 }
 
 // child applies the step's node annotation to one reached child and
-// delivers the survivors — the streaming form of appendChild +
-// applyNodeAnnot.
+// delivers the survivors.
 func (w *pathWalker) child(cur pathResult, depth int, id oem.NodeID, en *env, asOf *timestamp.Time) error {
 	nb := cur.b
 	nb.id = id

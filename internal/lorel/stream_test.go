@@ -58,18 +58,6 @@ func TestExistsShortCircuit(t *testing.T) {
 	}
 }
 
-// TestExistsShortCircuitWithoutStreaming pins the satellite requirement
-// that the exists fix holds independent of the iterator refactor: turning
-// the streaming gate off must not bring the over-materialization back.
-func TestExistsShortCircuitWithoutStreaming(t *testing.T) {
-	prev := SetStreaming(false)
-	defer SetStreaming(prev)
-	early := existsBindings(t, 0)
-	if early > 8 {
-		t.Errorf("early witness examined %d candidates with streaming off, want at most a handful", early)
-	}
-}
-
 // TestExistsNoWitness: when no candidate satisfies, every candidate must
 // still be examined and the result must be empty — short-circuiting must
 // not turn into under-evaluation.
@@ -128,17 +116,6 @@ func TestExistentialNullBindNoShadow(t *testing.T) {
 	}
 	if g := fmt.Sprint(times(got)); g != want {
 		t.Errorf("empty existential generator shadowed bound T: want %s, got %s", want, g)
-	}
-
-	// Same property on the legacy materializing enumerator.
-	prev := SetStreaming(false)
-	defer SetStreaming(prev)
-	got2, err := e.Query(`select T from guide.<add at T>restaurant R where R.<rem at T>zzz = "x" or T >= 1Jan80`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := fmt.Sprint(times(got2)); g != want {
-		t.Errorf("legacy enumerator shadowed bound T: want %s, got %s", want, g)
 	}
 }
 

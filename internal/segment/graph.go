@@ -19,9 +19,9 @@ import (
 // the one segment covering the queried instant, which is what keeps `<at
 // T>` query time flat as total history grows.
 //
-// DB deliberately does not implement LabelSeeker/AllLabelSeeker: the
-// evaluator's fallback scan over Out/OutAll preserves ordering parity
-// without per-segment label indexes.
+// DB deliberately does not implement lorel.SymSeeker: the evaluator's
+// fallback scan over Out/OutAll preserves ordering parity without
+// per-segment label indexes.
 //
 // Concurrency contract: same as *doem.Database — any number of concurrent
 // readers, mutators (Store.Apply/Seal/Truncate) must exclude them. Index

@@ -28,10 +28,8 @@
 package symbol
 
 import (
-	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // ID is a dense interned-symbol identifier. The zero value None never
@@ -67,8 +65,10 @@ func Intern(s string) (ID, string) {
 		return en.id, en.s
 	}
 	if uint64(len(strs)) > uint64(^ID(0)) {
-		// Table full (2^32 distinct symbols): serve the string uninterned.
-		return None, s
+		// 2^32 distinct labels exhaust memory long before this point. The
+		// index and the evaluator key every label by id, so serving an
+		// uninterned string here would make it silently unmatchable.
+		panic("symbol: table full (2^32 distinct symbols)")
 	}
 	c := strings.Clone(s)
 	id := ID(len(strs))
@@ -87,13 +87,10 @@ func Lookup(s string) (ID, bool) {
 	return None, false
 }
 
-// Canon returns the canonical backing string for s, interning it when
-// interning is enabled; when disabled it returns s unchanged. Store
-// layers call this on every label they record.
+// Canon returns the canonical backing string for s, interning it. Store
+// layers call this on every label they record, which is the invariant
+// label lookups rely on: every label present in any graph is interned.
 func Canon(s string) string {
-	if !Enabled() {
-		return s
-	}
 	_, c := Intern(s)
 	return c
 }
@@ -115,28 +112,3 @@ func Size() int {
 	defer mu.RUnlock()
 	return len(strs) - 1
 }
-
-// disabled flips the package-wide default from interned to plain string
-// storage. It gates Canon (label canonicalization at store layers), the
-// sym-keyed index build in internal/index, and the evaluator's
-// symbol-resolved step matching; the table itself keeps working either
-// way, so flipping the gate mid-process never corrupts existing data —
-// graphs built under the other setting simply don't share backing
-// strings.
-var disabled atomic.Bool
-
-func init() {
-	if v := os.Getenv("REPRO_NOINTERN"); v != "" && v != "0" {
-		disabled.Store(true)
-	}
-}
-
-// Enabled reports whether interning is on. The default is on; the
-// REPRO_NOINTERN environment variable or a -nointern command flag (via
-// SetEnabled) turns it off — mirroring plan.Enabled and index.Enabled.
-// The gate is consulted when data is loaded and when index tables are
-// built, so flip it before constructing databases.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled sets the package-wide default and returns the previous value.
-func SetEnabled(on bool) (prev bool) { return !disabled.Swap(!on) }
