@@ -65,6 +65,35 @@ func TestRegistryIdempotent(t *testing.T) {
 	}
 }
 
+// TestAcquireReleaseHistogram: holders of one name share one series, and
+// it stays registered until the last hold is released; releasing a stale
+// or unheld histogram never removes a series someone else holds.
+func TestAcquireReleaseHistogram(t *testing.T) {
+	r := NewRegistry()
+	registered := func() bool { _, ok := r.Snapshot().Histograms["h"]; return ok }
+	a, b := r.AcquireHistogram("h"), r.AcquireHistogram("h")
+	if a != b {
+		t.Fatal("holders of one name got different histograms")
+	}
+	r.ReleaseHistogram(a)
+	if !registered() {
+		t.Fatal("series removed while a holder remains")
+	}
+	r.ReleaseHistogram(b)
+	if registered() {
+		t.Fatal("series still registered after its last release")
+	}
+	c := r.AcquireHistogram("h")
+	r.ReleaseHistogram(a) // stale: a's holds are gone
+	if !registered() || c == a {
+		t.Fatal("a stale release touched the new holder's series")
+	}
+	r.ReleaseHistogram(c)
+	if registered() {
+		t.Fatal("series still registered after its last release")
+	}
+}
+
 func TestHistogramPercentiles(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)

@@ -171,7 +171,7 @@ func (s *Service) newReplicaLocked(name string) *subState {
 		d:       doem.New(oem.New()),
 		remap:   make(map[oem.NodeID]oem.NodeID),
 		nextID:  1,
-		pollNs:  obs.NewHistogram(obs.LabeledName("qss_poll_ns", "sub", name)),
+		pollNs:  obs.AcquireHistogram(obs.LabeledName("qss_poll_ns", "sub", name)),
 	}
 	if !s.noIndex {
 		st.ig = index.NewGraph(st.d)
