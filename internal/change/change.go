@@ -170,16 +170,44 @@ var ErrInvalidSet = errors.New("change: invalid operation set")
 // Canonical returns the operations in the canonical application order:
 // creNode, remArc, updNode, addArc; ties broken by operand ids for
 // determinism. See doc.go for why this order realizes every valid set.
+//
+// Each operation's sort key is rendered once up front: String formats
+// through fmt, and a comparator calling it would format both operands of
+// every one of the O(n log n) comparisons.
 func (s Set) Canonical() []Op {
-	ops := append([]Op(nil), s...)
-	sort.SliceStable(ops, func(i, j int) bool {
-		ri, rj := ops[i].kindRank(), ops[j].kindRank()
-		if ri != rj {
-			return ri < rj
-		}
-		return ops[i].String() < ops[j].String()
-	})
-	return ops
+	c := canonicalOrder{ops: append([]Op(nil), s...), keys: make([]opKey, len(s))}
+	for i, op := range c.ops {
+		c.keys[i] = opKey{rank: op.kindRank(), str: op.String()}
+	}
+	sort.Stable(c)
+	return c.ops
+}
+
+// opKey is an operation's canonical sort key: kind rank, then rendering.
+type opKey struct {
+	rank int
+	str  string
+}
+
+// canonicalOrder sorts operations by precomputed keys, permuting both
+// slices together.
+type canonicalOrder struct {
+	ops  []Op
+	keys []opKey
+}
+
+func (c canonicalOrder) Len() int { return len(c.ops) }
+
+func (c canonicalOrder) Less(i, j int) bool {
+	if c.keys[i].rank != c.keys[j].rank {
+		return c.keys[i].rank < c.keys[j].rank
+	}
+	return c.keys[i].str < c.keys[j].str
+}
+
+func (c canonicalOrder) Swap(i, j int) {
+	c.ops[i], c.ops[j] = c.ops[j], c.ops[i]
+	c.keys[i], c.keys[j] = c.keys[j], c.keys[i]
 }
 
 // Validate checks the set against db per the paper's three conditions.

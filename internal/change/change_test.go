@@ -3,6 +3,7 @@ package change
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -466,6 +467,59 @@ func TestValidateMatchesReference(t *testing.T) {
 		slow := validateReference(set, base)
 		if (fast == nil) != (slow == nil) {
 			t.Fatalf("trial %d: overlay=%v reference=%v\nset: %s", trial, fast, slow, set)
+		}
+	}
+}
+
+// canonicalReference is the comparator Canonical used before its keys
+// were precomputed: rank, then String, rendered afresh per comparison.
+func canonicalReference(s Set) []Op {
+	ops := append([]Op(nil), s...)
+	sort.SliceStable(ops, func(i, j int) bool {
+		ri, rj := ops[i].kindRank(), ops[j].kindRank()
+		if ri != rj {
+			return ri < rj
+		}
+		return ops[i].String() < ops[j].String()
+	})
+	return ops
+}
+
+// TestCanonicalMatchesReference: precomputing the sort keys must not move
+// a single operation. Random sets mix every kind, repeat operations (so
+// stability matters) and use ids whose renderings sort differently from
+// their numeric order (n10 < n9).
+func TestCanonicalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	labels := []string{"a", "b", "price", "restaurant", "a\"q"}
+	vals := []value.Value{value.Int(3), value.Int(12), value.Str("x"), value.Str("3"), value.Complex()}
+	id := func() oem.NodeID { return oem.NodeID(1 + rng.Intn(30)) }
+	for iter := 0; iter < 500; iter++ {
+		var s Set
+		for n := rng.Intn(40); n > 0; n-- {
+			switch rng.Intn(5) {
+			case 0:
+				s = append(s, CreNode{Node: id(), Value: vals[rng.Intn(len(vals))]})
+			case 1:
+				s = append(s, UpdNode{Node: id(), Value: vals[rng.Intn(len(vals))]})
+			case 2:
+				s = append(s, AddArc{Parent: id(), Label: labels[rng.Intn(len(labels))], Child: id()})
+			case 3:
+				s = append(s, RemArc{Parent: id(), Label: labels[rng.Intn(len(labels))], Child: id()})
+			case 4:
+				if len(s) > 0 {
+					s = append(s, s[rng.Intn(len(s))])
+				}
+			}
+		}
+		got, want := s.Canonical(), canonicalReference(s)
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: %d ops, want %d", iter, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("iter %d: op %d = %s, want %s\nset: %v", iter, i, got[i], want[i], []Op(s))
+			}
 		}
 	}
 }

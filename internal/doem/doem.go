@@ -294,35 +294,44 @@ func (d *Database) arcEvents(n oem.NodeID, label string, kind AnnotKind) []ArcEv
 // strictly after the last applied step, and the operations must not touch
 // deleted nodes or reuse their ids.
 func (d *Database) Apply(t timestamp.Time, ops change.Set) error {
+	_, err := d.ApplyStep(t, ops)
+	return err
+}
+
+// ApplyStep is Apply that also reports the nodes the step's garbage
+// collection deleted from the current snapshot, ascending (nil when the
+// step orphaned nothing). Derived structures that fold a step in place
+// (internal/index) use it to drop exactly those nodes' current arcs.
+func (d *Database) ApplyStep(t timestamp.Time, ops change.Set) (collected []oem.NodeID, err error) {
 	if !t.IsFinite() {
-		return fmt.Errorf("%w: %s", ErrStaleTimestamp, t)
+		return nil, fmt.Errorf("%w: %s", ErrStaleTimestamp, t)
 	}
 	if t.Compare(d.LastStep()) <= 0 {
-		return fmt.Errorf("%w: %s <= %s", ErrStaleTimestamp, t, d.LastStep())
+		return nil, fmt.Errorf("%w: %s <= %s", ErrStaleTimestamp, t, d.LastStep())
 	}
 	// Deleted-node discipline (paper Section 2.2).
 	for _, op := range ops {
 		switch o := op.(type) {
 		case change.CreNode:
 			if _, dead := d.deletedValues[o.Node]; dead {
-				return fmt.Errorf("%w: %s", ErrReusedID, o.Node)
+				return nil, fmt.Errorf("%w: %s", ErrReusedID, o.Node)
 			}
 		case change.UpdNode:
 			if _, dead := d.deletedValues[o.Node]; dead {
-				return fmt.Errorf("%w: %s", ErrDeletedNode, op)
+				return nil, fmt.Errorf("%w: %s", ErrDeletedNode, op)
 			}
 		case change.AddArc:
 			if d.isDeleted(o.Parent) || d.isDeleted(o.Child) {
-				return fmt.Errorf("%w: %s", ErrDeletedNode, op)
+				return nil, fmt.Errorf("%w: %s", ErrDeletedNode, op)
 			}
 		case change.RemArc:
 			if d.isDeleted(o.Parent) || d.isDeleted(o.Child) {
-				return fmt.Errorf("%w: %s", ErrDeletedNode, op)
+				return nil, fmt.Errorf("%w: %s", ErrDeletedNode, op)
 			}
 		}
 	}
 	if err := ops.Validate(d.current); err != nil {
-		return err
+		return nil, err
 	}
 	// Record old values for upd annotations before mutating. Validate has
 	// ruled out cre+upd of one node in a single set, so every updated
@@ -374,17 +383,15 @@ func (d *Database) Apply(t timestamp.Time, ops change.Set) error {
 	// collection drops them. The reachability walk is skipped when the
 	// step cannot have orphaned anything.
 	if ops.NeedsCollection(d.current) {
-		live := d.current.Reachable()
-		for _, id := range d.current.Nodes() {
-			if !live[id] {
-				d.deletedValues[id] = d.current.MustValue(id)
-			}
+		collected = d.current.Unreachable()
+		for _, id := range collected {
+			d.deletedValues[id] = d.current.MustValue(id)
 		}
-		d.current.GarbageCollect()
+		d.current.RemoveNodes(collected)
 	}
 	d.steps = append(d.steps, t)
 	d.version++
-	return nil
+	return collected, nil
 }
 
 func (d *Database) isDeleted(n oem.NodeID) bool {

@@ -11,11 +11,11 @@
 // fuzz tests in this package enforce that.
 //
 // Index structures are built lazily on first use and keyed to
-// doem.Database.Version(), so a Graph self-detects staleness after Apply
-// even without an explicit Invalidate call. Mutation sites (lore.Store
-// ApplySet, QSS poll application) still call Invalidate as the documented
-// hook; both paths converge on dropping the generation's tables and every
-// cached view with them.
+// doem.Database.Version(). Mutation sites (lore.Store.ApplySet, QSS poll
+// application) apply steps through Graph.Apply, which folds each step
+// into the current generation's tables in place (see fold.go); a database
+// mutated any other way is caught by the Version() self-check, which
+// drops the tables and rebuilds on the next read.
 //
 // Concurrency: Graph is safe for concurrent readers under the same
 // contract as doem.Database itself (mutators exclude readers). Internal
@@ -86,9 +86,10 @@ func (g *Graph) SetCacheSizes(views, snapshots int) {
 func (g *Graph) DOEM() *doem.Database { return g.d }
 
 // Invalidate drops every index structure and cached view. The next read
-// rebuilds against the database's current generation. Mutation hooks
-// (lore.Store.ApplySet, QSS poll application) call this; the Version()
-// self-check makes a missed call safe but a made call immediate.
+// rebuilds against the database's current generation. Steps applied
+// through Apply need no call; it is for callers that mutate the database
+// behind the graph's back and want the tables gone at once (the Version()
+// self-check would catch them at the next read anyway).
 func (g *Graph) Invalidate() {
 	g.mu.Lock()
 	g.tab = nil
@@ -188,46 +189,58 @@ func buildTables(d *doem.Database, gen uint64, viewCap, snapCap int) *tables {
 		views:         newLRU[timestamp.Time, *view](viewCap),
 		snaps:         newLRU[timestamp.Time, *oem.Database](snapCap),
 	}
-	// appendTo files an arc under (parent, label symbol) and reports
-	// whether it opened a new bucket. Labels reaching here were
-	// canonicalized at AddArc, so the Intern call is a lock-free hit.
-	appendTo := func(m map[symKey][]oem.Arc, n oem.NodeID, a oem.Arc) (first bool) {
-		id, _ := symbol.Intern(a.Label)
-		k := symKey{n, id}
-		first = len(m[k]) == 0
-		m[k] = append(m[k], a)
-		return first
-	}
 	root := d.Root()
 	for _, n := range t.nodes {
 		for _, a := range d.Out(n) {
-			lc := t.labelStats[a.Label]
-			if appendTo(t.outLabeled, n, a) {
-				lc.Parents++
-			}
-			lc.Arcs++
-			if n == root {
-				lc.RootOut++
-			}
-			t.labelStats[a.Label] = lc
-			t.arcTotal++
+			t.addCurrent(a, root)
 		}
 		for _, a := range d.OutAll(n) {
-			lc := t.labelStats[a.Label]
-			if appendTo(t.outAllLabeled, n, a) {
-				lc.AllParents++
-			}
-			lc.AllArcs++
-			if n == root {
-				lc.AllRootOut++
-			}
-			t.labelStats[a.Label] = lc
+			t.addAll(a, root)
 		}
 		if ups := d.UpdTriples(n); len(ups) > 0 {
 			t.updInfos[n] = ups
 		}
 	}
 	return t
+}
+
+// appendTo files an arc under (parent, label symbol) and reports whether
+// it opened a new bucket. Labels reaching here were canonicalized at
+// AddArc, so the Intern call is a lock-free hit.
+func appendTo(m map[symKey][]oem.Arc, a oem.Arc) (first bool) {
+	id, _ := symbol.Intern(a.Label)
+	k := symKey{a.Parent, id}
+	first = len(m[k]) == 0
+	m[k] = append(m[k], a)
+	return first
+}
+
+// addCurrent files a current-snapshot arc under its (parent, label)
+// bucket and counts it in the planner statistics.
+func (t *tables) addCurrent(a oem.Arc, root oem.NodeID) {
+	lc := t.labelStats[a.Label]
+	if appendTo(t.outLabeled, a) {
+		lc.Parents++
+	}
+	lc.Arcs++
+	if a.Parent == root {
+		lc.RootOut++
+	}
+	t.labelStats[a.Label] = lc
+	t.arcTotal++
+}
+
+// addAll files an arc of the full relation (removed arcs included).
+func (t *tables) addAll(a oem.Arc, root oem.NodeID) {
+	lc := t.labelStats[a.Label]
+	if appendTo(t.outAllLabeled, a) {
+		lc.AllParents++
+	}
+	lc.AllArcs++
+	if a.Parent == root {
+		lc.AllRootOut++
+	}
+	t.labelStats[a.Label] = lc
 }
 
 // --- lorel.Graph: plain delegates -----------------------------------------

@@ -51,3 +51,20 @@ func (c *lru[K, V]) add(k K, v V) (evicted bool) {
 }
 
 func (c *lru[K, V]) len() int { return c.ll.Len() }
+
+// keys returns the cached keys, most recently used first.
+func (c *lru[K, V]) keys() []K {
+	ks := make([]K, 0, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		ks = append(ks, el.Value.(*lruEntry[K, V]).k)
+	}
+	return ks
+}
+
+// remove drops k, if cached.
+func (c *lru[K, V]) remove(k K) {
+	if el, ok := c.m[k]; ok {
+		c.ll.Remove(el)
+		delete(c.m, k)
+	}
+}

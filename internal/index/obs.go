@@ -15,6 +15,8 @@ import (
 var (
 	mBuilds          = obs.NewCounter("index_builds_total")
 	mBuildNs         = obs.NewHistogram("index_build_ns")
+	mFolds           = obs.NewCounter("index_folds_total")
+	mFoldNs          = obs.NewHistogram("index_fold_ns")
 	mCacheHits       = obs.NewCounter("index_snapshot_cache_hits_total")
 	mCacheMisses     = obs.NewCounter("index_snapshot_cache_misses_total")
 	mCacheEvictions  = obs.NewCounter("index_snapshot_cache_evictions_total")

@@ -9,6 +9,7 @@ import (
 	"repro/internal/doem"
 	"repro/internal/guidegen"
 	"repro/internal/lore"
+	"repro/internal/lorel"
 )
 
 // TestConcurrentQueriesWithApplySet drives N goroutines of parallel Chorel
@@ -177,5 +178,84 @@ func TestConcurrentApplySetCheckpoint(t *testing.T) {
 	}
 	if !last.Equal(h[len(h)-1].At) {
 		t.Errorf("last step %s, want %s", last, h[len(h)-1].At)
+	}
+}
+
+// TestConcurrentIndexedQueriesWithApplySet: readers query the store's
+// shared index wrapper while a writer streams steps through ApplySet,
+// which folds each one into that wrapper's tables under the database's
+// write lock. Every indexed answer must equal the raw database's answer
+// read under the same lock.
+func TestConcurrentIndexedQueriesWithApplySet(t *testing.T) {
+	initial, h := guidegen.GenerateHistory(13, 30, 40, 6)
+	s, err := lore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutDOEM("guide", doem.New(initial)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.GetDOEM("guide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ig, err := s.IndexedDOEM("guide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`select R.name from guide.restaurant R where R.price < 30`,
+		`select C, T from guide.restaurant.<add at T>comment C`,
+		`select R, T from guide.restaurant<cre at T> R`,
+		`select T, OV, NV from guide.restaurant.price<upd at T from OV to NV>`,
+		fmt.Sprintf(`select guide.<at %q>restaurant.name`, h[len(h)/2].At.String()),
+	}
+
+	var wg sync.WaitGroup
+	errCh := make(chan error, 32)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, step := range h {
+			if err := s.ApplySet("guide", step.At, step.Ops); err != nil {
+				errCh <- fmt.Errorf("ApplySet at %s: %w", step.At, err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			idx, raw := lorel.NewEngine(), lorel.NewEngine()
+			idx.Register("guide", ig)
+			raw.Register("guide", d)
+			for i := 0; i < 30; i++ {
+				q := queries[(w+i)%len(queries)]
+				err := s.ViewDOEM("guide", func(*doem.Database) error {
+					got, err := idx.Query(q)
+					if err != nil {
+						return err
+					}
+					want, err := raw.Query(q)
+					if err != nil {
+						return err
+					}
+					if got.String() != want.String() {
+						return fmt.Errorf("indexed answer diverges:\nindexed:\n%s\nraw:\n%s", got, want)
+					}
+					return nil
+				})
+				if err != nil {
+					errCh <- fmt.Errorf("worker %d query %q: %w", w, q, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
 	}
 }

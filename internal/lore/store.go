@@ -391,12 +391,11 @@ func (s *Store) applySet(name string, t timestamp.Time, ops change.Set) error {
 		return nil
 	}
 	lk.Lock()
-	err := d.Apply(t, ops)
+	err := s.applyIndexed(name, d, t, ops)
 	lk.Unlock()
 	if err != nil {
 		return err
 	}
-	s.invalidateIndex(name)
 	if l, ok := s.logs[name]; ok {
 		if _, err := l.AppendStep(t, ops); err != nil {
 			return fmt.Errorf("lore: %w", err)
@@ -519,7 +518,8 @@ func (s *Store) GetDOEM(name string) (*doem.Database, error) {
 
 // IndexedDOEM returns the store's secondary-index wrapper (internal/index)
 // for the named DOEM database, creating it on first use. The wrapper is
-// shared between callers; ApplySet invalidates it after every mutation.
+// shared between callers; ApplySet applies every step through it, which
+// folds the step into its tables.
 // Read through it under the database's read lock (ViewIndexed) whenever
 // writers may be active.
 func (s *Store) IndexedDOEM(name string) (*index.Graph, error) {
@@ -564,6 +564,21 @@ func (s *Store) ViewIndexed(name string, fn func(lorel.Graph) error) error {
 	lk.RLock()
 	defer lk.RUnlock()
 	return fn(ig)
+}
+
+// applyIndexed applies one step to d, through the database's index
+// wrapper when one exists so the wrapper folds the step into its tables
+// instead of rebuilding them at the next query. The caller holds the
+// database's write lock.
+func (s *Store) applyIndexed(name string, d *doem.Database, t timestamp.Time, ops change.Set) error {
+	s.idxMu.Lock()
+	ig, ok := s.indexes[name]
+	s.idxMu.Unlock()
+	if ok && ig.DOEM() == d {
+		_, err := ig.Apply(t, ops)
+		return err
+	}
+	return d.Apply(t, ops)
 }
 
 // invalidateIndex drops the cached index structures for name, if any.

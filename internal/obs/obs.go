@@ -107,13 +107,15 @@ const ringSize = 1 << 10
 // convention) into a fixed ring buffer. Count and Sum are all-time;
 // min/max and the percentiles in a snapshot describe the most recent
 // ringSize observations. Writers only append atomically — concurrent
-// Observe calls never block each other.
+// Observe calls never block each other. The ring is allocated by the
+// first observation, so a histogram that never records (collection off,
+// or an idle per-subscription series) costs a few words, not 8KB.
 type Histogram struct {
 	name  string
 	count atomic.Int64
 	sum   atomic.Int64
 	idx   atomic.Int64
-	ring  [ringSize]atomic.Int64
+	ring  atomic.Pointer[[ringSize]atomic.Int64]
 }
 
 // Name returns the registered metric name.
@@ -128,10 +130,20 @@ func (h *Histogram) Observe(v int64) {
 }
 
 func (h *Histogram) observe(v int64) {
+	r := h.ring.Load()
+	if r == nil {
+		// Concurrent first observers race to install a ring; the losers
+		// use the winner's. The ring is in place before count moves, so a
+		// Stats that sees a sample also sees the ring.
+		r = new([ringSize]atomic.Int64)
+		if !h.ring.CompareAndSwap(nil, r) {
+			r = h.ring.Load()
+		}
+	}
 	h.count.Add(1)
 	h.sum.Add(v)
 	i := h.idx.Add(1) - 1
-	h.ring[i&(ringSize-1)].Store(v)
+	r[i&(ringSize-1)].Store(v)
 }
 
 // ObserveSince records the nanoseconds elapsed since start, which must
@@ -170,9 +182,10 @@ func (h *Histogram) Stats() HistogramStats {
 	if n > ringSize {
 		n = ringSize
 	}
+	r := h.ring.Load()
 	samples := make([]int64, n)
 	for i := range samples {
-		samples[i] = h.ring[i].Load()
+		samples[i] = r[i].Load()
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	st.Window = int(n)

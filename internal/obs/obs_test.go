@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestDisabledMetricsRecordNothing(t *testing.T) {
@@ -232,5 +233,77 @@ func TestPrometheusText(t *testing.T) {
 	}
 	if strings.Count(text, "# TYPE b_total") != 1 {
 		t.Error("TYPE line repeated for labeled variants")
+	}
+}
+
+// TestHistogramRingIsLazy: a histogram that never records holds no ring —
+// registering one allocates only the struct, well under the ring's 8KB —
+// and snapshots as zeros. The first recorded sample allocates the ring
+// once; later samples allocate nothing.
+func TestHistogramRingIsLazy(t *testing.T) {
+	prev := SetEnabled(false)
+	defer SetEnabled(prev)
+	r := NewRegistry()
+	h := r.NewHistogram("lazy_ns")
+	if n := testing.AllocsPerRun(100, func() { h.Observe(5) }); n != 0 {
+		t.Fatalf("Observe with collection off allocated %.0f times", n)
+	}
+	if h.ring.Load() != nil {
+		t.Fatal("Observe with collection off allocated the ring")
+	}
+	if st := h.Stats(); st != (HistogramStats{}) {
+		t.Fatalf("unobserved histogram snapshots as %+v, want zeros", st)
+	}
+	if size := unsafe.Sizeof(Histogram{}); size > 128 {
+		t.Fatalf("an unobserved histogram is %d bytes; the ring must not be inline", size)
+	}
+
+	SetEnabled(true)
+	// AllocsPerRun calls its function once more as a warm-up, so each call
+	// gets a fresh histogram of its own.
+	fresh := make([]Histogram, 2)
+	i := 0
+	first := testing.AllocsPerRun(1, func() { fresh[i].Observe(1); i++ })
+	if first != 1 || fresh[1].ring.Load() == nil {
+		t.Fatalf("a first Observe allocated %.0f times, want once (the ring)", first)
+	}
+	h.Observe(1)
+	if n := testing.AllocsPerRun(100, func() { h.Observe(5) }); n != 0 {
+		t.Fatalf("Observe into an allocated ring allocated %.0f times", n)
+	}
+	if st := h.Stats(); st.Count != 102 || st.Window != 102 || st.Min != 1 || st.Max != 5 {
+		t.Fatalf("stats after 102 samples: %+v", st)
+	}
+}
+
+// TestHistogramConcurrentFirstObserve: observers racing to install the
+// ring all land in the one that wins; no sample goes to a discarded ring.
+func TestHistogramConcurrentFirstObserve(t *testing.T) {
+	prev := SetEnabled(true)
+	defer SetEnabled(prev)
+	const workers, each = 8, 100
+	for round := 0; round < 20; round++ {
+		h := &Histogram{name: "race_ns"}
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for w := 0; w < workers; w++ {
+			done.Add(1)
+			go func(v int64) {
+				defer done.Done()
+				start.Wait()
+				for i := 0; i < each; i++ {
+					h.Observe(v)
+				}
+			}(int64(w + 1))
+		}
+		start.Done()
+		done.Wait()
+		st := h.Stats()
+		if st.Count != workers*each || st.Window != workers*each {
+			t.Fatalf("round %d: count %d window %d, want %d", round, st.Count, st.Window, workers*each)
+		}
+		if st.Min < 1 || st.Max > workers {
+			t.Fatalf("round %d: a sample was lost to a discarded ring: %+v", round, st)
+		}
 	}
 }

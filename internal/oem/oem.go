@@ -283,6 +283,14 @@ func (db *Database) Reachable() map[NodeID]bool {
 // implements the paper's implicit deletion by unreachability, applied at the
 // end of each history step (Section 2.2).
 func (db *Database) GarbageCollect() []NodeID {
+	dead := db.Unreachable()
+	db.RemoveNodes(dead)
+	return dead
+}
+
+// Unreachable returns the ids of the nodes not reachable from the root,
+// ascending: what GarbageCollect would delete.
+func (db *Database) Unreachable() []NodeID {
 	live := db.Reachable()
 	var dead []NodeID
 	for id := range db.values {
@@ -291,6 +299,13 @@ func (db *Database) GarbageCollect() []NodeID {
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	return dead
+}
+
+// RemoveNodes deletes the given nodes with every arc into or out of them.
+// GarbageCollect applies it to the unreachable nodes; callers that need
+// the nodes' values first use Unreachable, read, then remove.
+func (db *Database) RemoveNodes(dead []NodeID) {
 	for _, id := range dead {
 		for _, a := range db.out[id] {
 			delete(db.arcSet, a)
@@ -304,7 +319,6 @@ func (db *Database) GarbageCollect() []NodeID {
 		delete(db.in, id)
 		delete(db.values, id)
 	}
-	return dead
 }
 
 // Validate checks Definition 2.1's invariants: only complex nodes have

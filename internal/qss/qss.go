@@ -84,7 +84,8 @@ type Service struct {
 	// exclusive with walDir/segDir; see repl.go).
 	replNode *repl.Node
 	// workers is the evaluation parallelism applied to the per-poll
-	// polling- and filter-query engines (0 = serial).
+	// polling-query engines and the subscriptions' filter engines (0 =
+	// serial).
 	workers int
 	// noIndex disables the secondary-index wrapper on subscription DOEM
 	// databases; it defaults to the package-wide index.Enabled() switch.
@@ -128,9 +129,20 @@ type subState struct {
 	seg      *segment.Store
 	sidePath string
 	// ig is the secondary-index wrapper filter queries evaluate through;
-	// nil when indexing is off. It is invalidated after every poll
-	// application and rebuilt whenever d is swapped (truncate, import).
+	// nil when indexing is off. Every poll's step is applied through it
+	// (applyStep), which folds the step into its tables; it is replaced
+	// whenever d is swapped (truncate, import, seal).
 	ig *index.Graph
+	// pollQ is the parsed polling query (pollErr its canonicalization
+	// error, reported by every poll). Its engine is built per poll: it
+	// would otherwise hold the source snapshot past the poll.
+	pollQ   *lorel.Query
+	pollErr error
+	// feng is the subscription's filter engine, kept warm across polls so
+	// its parse cache serves the standing filter query; it re-registers
+	// the subscription's graph whenever graph() is swapped. Nil on
+	// unclaimed replicas.
+	feng *lorel.Engine
 	// fp is the filter query's incremental-matching fingerprint; polls
 	// whose applied delta provably cannot produce a filter row skip the
 	// evaluation entirely (see internal/incr). Nil on unclaimed replicas,
@@ -159,6 +171,74 @@ func (st *subState) setDOEM(d *doem.Database) {
 	if st.ig != nil {
 		st.ig = index.NewGraph(d)
 	}
+	st.registerFilter()
+}
+
+// attachQueries readies a subscription's queries for polling: the
+// polling query pq (parsed from st.sub.Polling), canonicalized once, and
+// a warm filter engine over graph(). st.mu is held (or st unpublished).
+func (st *subState) attachQueries(pq *lorel.Query, workers int) {
+	st.pollQ, st.pollErr = pq, lorel.Canonicalize(pq)
+	st.feng = lorel.NewEngine()
+	st.feng.SetParallelism(engineWorkers(workers))
+	st.registerFilter()
+}
+
+// registerFilter points the filter engine at the current graph().
+func (st *subState) registerFilter() {
+	if st.feng != nil {
+		st.feng.Register(st.sub.Name, st.graph())
+	}
+}
+
+// engineWorkers maps the service's worker setting (0 = serial) onto
+// lorel.Engine.SetParallelism's (0 = GOMAXPROCS).
+func engineWorkers(n int) int {
+	if n == 0 {
+		return 1
+	}
+	return n
+}
+
+// applyStep folds one poll's change set into the subscription's history:
+// through the index wrapper when there is one, which advances its tables
+// by the step instead of rebuilding them, and pruning the remap only when
+// the step's collection deleted objects (nothing else removes any).
+// Plain polls, replicated records and WAL replay all apply through here.
+func (st *subState) applyStep(t timestamp.Time, ops change.Set) error {
+	if len(ops) == 0 {
+		return nil
+	}
+	var collected []oem.NodeID
+	var err error
+	if st.ig != nil {
+		collected, err = st.ig.Apply(t, ops)
+	} else {
+		collected, err = st.d.ApplyStep(t, ops)
+	}
+	if err != nil {
+		return err
+	}
+	if len(collected) > 0 {
+		st.pruneRemap()
+	}
+	return nil
+}
+
+// applyRecord folds a logged or replicated poll record into st, with the
+// transitions a local poll performs: remap additions (made while
+// packaging, before the step), the step, the poll time and the id
+// high-water mark.
+func (st *subState) applyRecord(t timestamp.Time, ops change.Set, added []remapPair, nextID oem.NodeID) error {
+	for _, p := range added {
+		st.remap[p.Src] = p.ID
+	}
+	if err := st.applyStep(t, ops); err != nil {
+		return err
+	}
+	st.pollTimes = append(st.pollTimes, t)
+	st.nextID = nextID
+	return nil
 }
 
 // Errors.
@@ -208,17 +288,26 @@ func (s *Service) SetIndexing(on bool) {
 			// per-segment indexes; the monolithic wrapper does not apply.
 			st.ig = index.NewGraph(st.d)
 		}
+		st.registerFilter()
 		st.mu.Unlock()
 	}
 }
 
 // SetParallelism sets the evaluation worker count used by every poll's
-// polling- and filter-query engines (n <= 0 selects GOMAXPROCS; see
-// lorel.Engine.SetParallelism). Polls already in flight are unaffected.
+// polling- and filter-query engines (n < 0 selects GOMAXPROCS, 0 serial;
+// see lorel.Engine.SetParallelism). Polls already in flight are
+// unaffected.
 func (s *Service) SetParallelism(n int) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.workers = n
-	s.mu.Unlock()
+	for _, st := range s.subs {
+		st.mu.Lock()
+		if st.feng != nil {
+			st.feng.SetParallelism(engineWorkers(n))
+		}
+		st.mu.Unlock()
+	}
 }
 
 // Subscribe registers a subscription. The polling and filter queries are
@@ -233,7 +322,8 @@ func (s *Service) Subscribe(sub Subscription) error {
 	if sub.Source == nil {
 		return errors.New("qss: subscription needs a source")
 	}
-	if _, err := lorel.Parse(sub.Polling); err != nil {
+	pq, err := lorel.Parse(sub.Polling)
+	if err != nil {
 		return fmt.Errorf("qss: polling query: %w", err)
 	}
 	if _, err := lorel.Parse(sub.Filter); err != nil {
@@ -253,6 +343,7 @@ func (s *Service) Subscribe(sub Subscription) error {
 		prev.sub = sub
 		prev.replica = false
 		prev.fp = filterFingerprint(sub, prev.graph())
+		prev.attachQueries(pq, s.workers)
 		prev.mu.Unlock()
 		return nil
 	}
@@ -276,6 +367,7 @@ func (s *Service) Subscribe(sub Subscription) error {
 		}
 	}
 	st.fp = filterFingerprint(sub, st.graph())
+	st.attachQueries(pq, s.workers)
 	// Held only once the subscription is certain to exist, and released
 	// again by Unsubscribe, so the series never outlives it.
 	st.pollNs = obs.AcquireHistogram(obs.LabeledName("qss_poll_ns", "sub", sub.Name))
@@ -324,6 +416,7 @@ func (s *Service) Unsubscribe(name string) error {
 		// and a later Subscribe under the same name re-adopts it.
 		st.sub = Subscription{}
 		st.replica = true
+		st.pollQ, st.pollErr, st.feng = nil, nil, nil
 		st.mu.Unlock()
 		return nil
 	}
@@ -487,30 +580,35 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	if err != nil {
 		return nil, fmt.Errorf("qss: polling source: %w", err)
 	}
+	if st.pollErr != nil {
+		return nil, fmt.Errorf("qss: polling query: %w", st.pollErr)
+	}
 	eng := lorel.NewEngine()
 	eng.Register(st.sub.SourceName, lorel.NewOEMGraph(snap))
-	if workers != 0 {
-		eng.SetParallelism(workers)
-	}
-	res, err := eng.QueryContext(ctx, st.sub.Polling)
+	eng.SetParallelism(engineWorkers(workers))
+	res, err := eng.EvalContext(ctx, st.pollQ)
 	if err != nil {
 		return nil, fmt.Errorf("qss: polling query: %w", err)
 	}
 
-	// 2. Package the result as an OEM database R_i (recursively including
-	// all subobjects, paper Section 6). Packaging allocates remap entries
-	// and advances the id high-water mark; savedNextID lets a refused
-	// replication append roll those allocations back.
+	// 2-3. Package the result as an OEM database R_i (recursively
+	// including all subobjects, paper Section 6) and OEMdiff it: infer U_i
+	// with U_i(R_{i-1}) = R_i. Packaging allocates remap entries and
+	// advances the id high-water mark; savedNextID lets a refused
+	// replication append roll those allocations back. A stable-id
+	// source's result is diffed while it is packaged, against R_{i-1}
+	// directly (packageDiff); other sources are packaged, then matched.
 	savedNextID := st.nextID
-	pkg, added := st.packageResult(snap, res)
-
-	// 3. OEMdiff: infer U_i with U_i(R_{i-1}) = R_i.
-	sp = tr.StartSpan("diff")
-	prev := st.d.Current()
 	var ops change.Set
+	var added []remapPair
 	if st.sub.Source.StableIDs() {
-		ops, err = oemdiff.DiffIdentity(prev, pkg)
+		sp = tr.StartSpan("diff")
+		ops, added, err = st.packageDiff(snap, res)
 	} else {
+		var pkg *oem.Database
+		pkg, added = st.packageResult(snap, res)
+		sp = tr.StartSpan("diff")
+		prev := st.d.Current()
 		next := st.d.MaxID()
 		if st.seg != nil {
 			// The active segment's MaxID forgets ids that were garbage-
@@ -594,18 +692,9 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 		}
 		sp.End()
 	} else {
-		if len(ops) > 0 {
-			if err := st.d.Apply(t, ops); err != nil {
-				sp.End()
-				return nil, fmt.Errorf("qss: applying changes: %w", err)
-			}
-			st.pruneRemap()
-			// Poll application is an index invalidation hook: cached
-			// snapshots of the pre-poll generation must not serve the
-			// filter query below.
-			if st.ig != nil {
-				st.ig.Invalidate()
-			}
+		if err := st.applyStep(t, ops); err != nil {
+			sp.End()
+			return nil, fmt.Errorf("qss: applying changes: %w", err)
 		}
 		st.pollTimes = append(st.pollTimes, t)
 		sp.End()
@@ -638,13 +727,8 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	}
 
 	// 5. Chorel engine: evaluate the filter with t[i] bound.
-	feng := lorel.NewEngine()
-	feng.Register(st.sub.Name, st.graph())
-	feng.SetPollTimes(st.pollTimes)
-	if workers != 0 {
-		feng.SetParallelism(workers)
-	}
-	fres, err := feng.QueryContext(ctx, st.sub.Filter)
+	st.feng.SetPollTimes(st.pollTimes)
+	fres, err := st.feng.QueryContext(ctx, st.sub.Filter)
 	if err != nil {
 		return nil, fmt.Errorf("qss: filter query: %w", err)
 	}
@@ -666,7 +750,9 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 // whose objects were deleted from the DOEM database are never reused.
 // It also reports the remap entries added during this poll (empty for
 // sources without stable ids, whose remap is per-poll) so they can be
-// recorded in the subscription's write-ahead log.
+// recorded in the subscription's write-ahead log. Polls of stable-id
+// sources use packageDiff instead; this function, followed by
+// oemdiff.DiffIdentity, is that pass's reference in tests.
 func (st *subState) packageResult(snap *oem.Database, res *lorel.Result) (*oem.Database, []remapPair) {
 	out := oem.New()
 	alloc := func() oem.NodeID {

@@ -62,22 +62,9 @@ func (rs *ReplState) Apply(name string, data []byte) error {
 	st := rs.svc.replSub(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// Mirror pollContext/recoverFromLog: remap additions happen while
-	// packaging (before the step is applied), pruning after.
-	for _, p := range added {
-		st.remap[p.Src] = p.ID
+	if err := st.applyRecord(t, ops, added, nextID); err != nil {
+		return fmt.Errorf("qss: applying repl record: %w", err)
 	}
-	if len(ops) > 0 {
-		if err := st.d.Apply(t, ops); err != nil {
-			return fmt.Errorf("qss: applying repl record: %w", err)
-		}
-		st.pruneRemap()
-		if st.ig != nil {
-			st.ig.Invalidate()
-		}
-	}
-	st.pollTimes = append(st.pollTimes, t)
-	st.nextID = nextID
 	return nil
 }
 

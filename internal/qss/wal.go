@@ -112,19 +112,9 @@ func (st *subState) recoverFromLog(l *wal.Log) error {
 		if err != nil {
 			return fmt.Errorf("qss: log record %d: %w", seq, err)
 		}
-		// Mirror Poll's state transitions: remap additions happen while
-		// packaging (before the diff is applied), pruning after.
-		for _, p := range added {
-			st.remap[p.Src] = p.ID
+		if err := st.applyRecord(t, ops, added, nextID); err != nil {
+			return fmt.Errorf("qss: replaying log record %d: %w", seq, err)
 		}
-		if len(ops) > 0 {
-			if err := st.d.Apply(t, ops); err != nil {
-				return fmt.Errorf("qss: replaying log record %d: %w", seq, err)
-			}
-			st.pruneRemap()
-		}
-		st.pollTimes = append(st.pollTimes, t)
-		st.nextID = nextID
 		return nil
 	})
 }
